@@ -79,7 +79,10 @@ def parse_curve_arg(arg):
             key, value = item.split("=", 1)
             params[key] = _parse_value(value)
         samples = int(params.pop("samples", 4096))
-        return make_curve(name, samples=samples, **params)
+        try:
+            return make_curve(name, samples=samples, **params)
+        except InvalidArgumentError as exc:
+            raise CLIUsageError(str(exc)) from exc
     try:
         return load_curve(arg)
     except OSError as exc:
@@ -207,9 +210,13 @@ def _maybe_plot_ratio(args, curve):
 
 def _options(args):
     kwargs = {}
-    if getattr(args, "grid", None):
+    if getattr(args, "grid", None) is not None:
+        if args.grid < 2:
+            raise CLIUsageError(f"--grid must be at least 2, got {args.grid}")
         kwargs["grid_size"] = args.grid
-    if getattr(args, "tol", None):
+    if getattr(args, "tol", None) is not None:
+        if not 0.0 < args.tol < math.inf:
+            raise CLIUsageError(f"--tol must be positive and finite, got {args.tol}")
         kwargs["residual_tol"] = args.tol
     return SolveOptions(**kwargs)
 
@@ -313,7 +320,8 @@ def _cmd_check_monotone(args):
 def _cmd_sweep(args):
     curve = parse_curve_arg(args.curve).with_base_param(args.base)
     shape = parse_angles(args.angles)
-    result = sweep_similar(curve, shape, grid_size=args.grid or 256, options=_options(args))
+    opts = _options(args)
+    result = sweep_similar(curve, shape, grid_size=opts.grid_size, options=opts)
     report = {
         "command": "sweep",
         "input": _input_dict(args, curve),

@@ -12,6 +12,11 @@ The rotation carrying the sphere normal to the last axis is only determined
 up to an orthogonal map of the first n-1 coordinates; the cylindrical radius
 is invariant under exactly those maps, so the projected path (and with it the
 winding number) does not depend on the choice.
+
+The frame and the projection are the reference definition, not the hot path.
+Composed, they are closed-form: a point x maps to ``(|v - h normal| / r, h / r)``
+with ``v = x - center`` and ``h = v . normal``, which is what the sweep's
+winding kernel (``solvers.sphere_winding``) evaluates without any rotation.
 """
 
 from __future__ import annotations

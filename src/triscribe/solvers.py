@@ -23,13 +23,11 @@ limits, and both sufficient-condition checks warn instead of aborting.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curve import _golden_max, row_norms
+from .curve import _golden_max, point_segment_distances, row_norms
 from .errors import (
     DegenerateConfigurationError,
     InvalidArgumentError,
@@ -38,13 +36,12 @@ from .errors import (
     RefineFailedError,
     SingularPathError,
 )
-from .frames import apply_frame, canonical_frame, cylindrical_project, third_vertex_sphere
+from .frames import third_vertex_sphere
 from .shape import equilateral_shape, residuals
-from .winding import PlanarPath, passes_through, winding_closed
+from .winding import PlanarPath, winding_closed
 
 EPSILON_LADDER = (0.2, 0.1, 0.05, 0.02, 0.01)
 PROJECTION_BASE = np.array([1.0, 0.0])
-THREADS_ENV = "INSCRIBED_TRI_THREADS"
 
 
 @dataclass(frozen=True)
@@ -62,26 +59,6 @@ class SolveOptions:
 
 
 DEFAULT_OPTIONS = SolveOptions()
-
-
-def _thread_cap():
-    raw = os.environ.get(THREADS_ENV, "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap <= 0:
-        cap = min(os.cpu_count() or 1, 8)
-    return max(1, cap)
-
-
-def _ordered_map(fn, items):
-    items = list(items)
-    cap = _thread_cap()
-    if cap == 1 or len(items) < 8:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(fn, items))
 
 
 def _param_distance(a, b):
@@ -199,6 +176,54 @@ def _nearest_param_to_sphere(curve, sphere):
     return float(np.mod(t_star, 1.0))
 
 
+def _projected_winding(columns, sphere, tol):
+    """Winding number around (1, 0) of the closed polyline with vertex
+    coordinates ``columns`` (n, m), after the canonical frame and cylindrical
+    projection, or None when it is singular.
+
+    The projection of a vertex x is closed-form: with v = x - center and
+    h = v . normal it is (|v - h normal| / r, h / r), so no rotation is
+    applied.  The path is singular when a segment (the closing one included)
+    comes within ``tol`` of (1, 0), as in ``passes_through``, or a vertex within
+    1e-12 times the path's diameter, as in ``winding_closed``.  Only segments that
+    straddle z = 0 or end near it can be that close, so exact distances are
+    taken on those alone.  The winding is the signed count of crossings of the
+    ray from (1, 0) toward +rho, with half-open straddling (z < 0 against
+    z >= 0) so that a vertex on the ray is counted once.
+    """
+    radius = sphere.radius
+    m = columns.shape[1]
+    # In-place steps keep the (m,) temporaries few: fresh large arrays cost page faults.
+    v = columns - sphere.center[:, None]
+    h = sphere.normal @ v
+    w_sq = np.einsum("ij,ij->j", v, v)
+    w_sq -= h * h
+    np.maximum(w_sq, 0.0, out=w_sq)
+    z = np.divide(h, radius, out=h)
+    # sqrt and division by r are monotone, so the extremes of rho come from w_sq.
+    rho_span = (math.sqrt(w_sq.max()) - math.sqrt(w_sq.min())) / radius
+    vtol = 1e-12 * max(math.hypot(rho_span, float(z.max() - z.min())), 1e-300)
+    # Factor 2: a margin against rounding in the "provably far" argument.
+    thr = 2.0 * max(tol, vtol)
+    near = (z <= thr) & (z >= -thr)
+    below = z < 0.0
+    cand = np.flatnonzero((below[:-1] != below[1:]) | near[:-1] | near[1:])
+    if below[-1] != below[0] or near[-1] or near[0]:
+        cand = np.append(cand, m - 1)
+    nxt = (cand + 1) % m
+    a = np.column_stack([np.sqrt(w_sq[cand]) / radius, z[cand]])
+    b = np.column_stack([np.sqrt(w_sq[nxt]) / radius, z[nxt]])
+    if np.any(point_segment_distances(PROJECTION_BASE, a, b) < tol):
+        return None
+    if np.any(np.hypot(a[:, 0] - 1.0, a[:, 1]) <= vtol):
+        return None
+    crossing = below[cand] != below[nxt]
+    a, b = a[crossing], b[crossing]
+    rho_at_zero = a[:, 0] - a[:, 1] * (b[:, 0] - a[:, 0]) / (b[:, 1] - a[:, 1])
+    signs = np.where(b[:, 1] > a[:, 1], 1, -1)
+    return int(signs[rho_at_zero > 1.0].sum())
+
+
 def sphere_winding(curve, t, shape, options=None):
     """Winding invariant of the projected, re-framed curve at sweep parameter t."""
     opts = options or DEFAULT_OPTIONS
@@ -207,20 +232,8 @@ def sphere_winding(curve, t, shape, options=None):
     if np.linalg.norm(p - base) < 1e-14 * max(curve.extent, 1.0):
         raise DegenerateConfigurationError("swept point coincides with the base point")
     sphere = third_vertex_sphere(base, p, shape)
-    frame = canonical_frame(sphere)
-    projected = cylindrical_project(apply_frame(frame, curve.points))
-    path = PlanarPath(projected, closed=True)
-    hit = passes_through(path, PROJECTION_BASE, opts.singular_tol)
-    if hit is not None:
-        return WindingSample(
-            t=float(t),
-            winding=None,
-            singular=True,
-            touch_param=_nearest_param_to_sphere(curve, sphere),
-        )
-    try:
-        w = winding_closed(path, PROJECTION_BASE)
-    except (SingularPathError, NumericalDegeneracyError):
+    w = _projected_winding(curve.columns, sphere, opts.singular_tol)
+    if w is None:
         return WindingSample(
             t=float(t),
             winding=None,
@@ -316,7 +329,7 @@ def sweep_similar(curve, shape, grid_size=256, epsilon=None, options=None):
         except DegenerateConfigurationError:
             return None
 
-    grid = [s for s in _ordered_map(sample, ts) if s is not None]
+    grid = [s for s in map(sample, ts) if s is not None]
     if len(grid) < 3:
         # Two samples sit on the provable anchor values; a change between them
         # cannot be separated from the anchors, so treat it as unresolved.
@@ -597,7 +610,7 @@ def _ratio_loop(path_far, path_near):
     return PlanarPath(pts, closed=True)
 
 
-def _loop_winding(curve, s_far, path_far, s, samples):
+def _loop_winding(curve, path_far, s, samples):
     loop = _ratio_loop(path_far, ratio_path(curve, s, samples))
     return winding_closed(loop, np.zeros(2))
 
@@ -653,7 +666,7 @@ def solve_equilateral(curve, base_param=0.0, options=None):
     m = opts.ratio_samples
     path_far = ratio_path(work, s_far, m)
     try:
-        loop_w = _loop_winding(work, s_far, path_far, s_near, m)
+        loop_w = _loop_winding(work, path_far, s_near, m)
     except (SingularPathError, NumericalDegeneracyError):
         loop_w = None
     if loop_w != 1:
@@ -666,7 +679,7 @@ def solve_equilateral(curve, base_param=0.0, options=None):
     while hi - lo > opts.bisect_width:
         mid = 0.5 * (lo + hi)
         try:
-            w_mid = _loop_winding(work, s_far, path_far, mid, m)
+            w_mid = _loop_winding(work, path_far, mid, m)
         except (SingularPathError, NumericalDegeneracyError):
             s_hit = mid
             break

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .curve import point_segment_distances
 from .errors import InvalidArgumentError, NumericalDegeneracyError, SingularPathError
 
 ROUNDING_SLACK = 0.01
@@ -96,19 +97,10 @@ def winding_closed(path, base, tol=None):
 
 def segment_distances(path, base):
     """Distance from ``base`` to every segment (incl. the closing one if closed)."""
-    base = np.asarray(base, dtype=float)
     pts = path.points
     if path.closed:
         pts = np.vstack([pts, pts[:1]])
-    a = pts[:-1]
-    ab = pts[1:] - a
-    denom = (ab * ab).sum(axis=1)
-    safe = np.where(denom == 0.0, 1.0, denom)
-    s = ((base - a) * ab).sum(axis=1) / safe
-    s = np.clip(np.where(denom == 0.0, 0.0, s), 0.0, 1.0)
-    closest = a + s[:, None] * ab
-    d = closest - base
-    return np.hypot(d[:, 0], d[:, 1])
+    return point_segment_distances(base, pts[:-1], pts[1:])
 
 
 def passes_through(path, base, tol):

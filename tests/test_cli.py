@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from triscribe import equilateral_shape, load_curve, residuals
 from triscribe.cli import EXIT_NO_INPUT, EXIT_NO_RESULT, EXIT_OK, EXIT_USAGE, run
 
@@ -128,6 +130,28 @@ class TestErrorPaths:
     def test_unreadable_file(self, capsys):
         code = run(["solve-similar", "--curve", "/no/such/file.json", "--angles", "60,60,60"])
         assert code == EXIT_NO_INPUT
+
+    @pytest.mark.parametrize("command", ["solve-similar", "sweep"])
+    @pytest.mark.parametrize("grid", ["0", "1"])
+    def test_grid_below_two(self, capsys, command, grid):
+        code = run([command, "--curve", "gen:circle", "--angles", "60,60,60", "--grid", grid])
+        assert code == EXIT_USAGE
+        assert "--grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve-similar", "solve-equilateral", "sweep"])
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    def test_tolerance_not_positive(self, capsys, command, tol):
+        argv = [command, "--curve", "gen:circle", "--tol", tol]
+        if command != "solve-equilateral":
+            argv += ["--angles", "60,60,60"]
+        assert run(argv) == EXIT_USAGE
+        assert "--tol" in capsys.readouterr().err
+
+    def test_unknown_generator_parameter(self, capsys):
+        code = run(["solve-similar", "--curve", "gen:circle,foo=1", "--angles", "60,60,60"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "foo" in err
 
     def test_malformed_json(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,9 +1,13 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triscribe import Curve, InvalidArgumentError, curve_from_json, make_curve
+from triscribe.curve import point_segment_distance
 
 from conftest import polyline_distance
 
@@ -120,6 +124,58 @@ class TestMinDistanceExcluding:
             unit_square.min_distance_excluding(np.array([0.0, 0.0]), (0.5, 0.5))
 
 
+def min_distance_loop(curve, base, excluded):
+    """Reference: one ``point_segment_distance`` call per clipped retained segment."""
+    lo, hi = excluded
+    retained = [(hi, lo)] if hi <= lo else [(0.0, lo), (hi, 1.0)]
+    params, pts, m = curve.params, curve.points, curve.n_vertices
+    best = math.inf
+    for u, v in retained:
+        for j in range(m):
+            a, b = params[j], params[j + 1]
+            ca, cb = max(a, u), min(b, v)
+            if cb <= ca:
+                continue
+            pa = pts[j] if ca == a else curve.eval(ca)
+            pb = pts[(j + 1) % m] if cb == b else curve.eval(cb)
+            best = min(best, point_segment_distance(base, pa, pb))
+    return best
+
+
+def _window_end(curve, pick):
+    """A window endpoint: a vertex parameter (exact) or an arbitrary one."""
+    kind, value = pick
+    if kind == "vertex":
+        return float(curve.params[int(value * curve.n_vertices)])
+    return value
+
+
+window_ends = st.tuples(st.sampled_from(["vertex", "any"]), st.floats(0.0, 1.0, exclude_max=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(4, 40),
+    n=st.sampled_from([2, 3, 5]),
+    scale=st.sampled_from([1e-6, 1.0, 1e6]),
+    lo=window_ends,
+    hi=window_ends,
+    base_on_curve=st.booleans(),
+)
+def test_min_distance_matches_segment_loop(seed, m, n, scale, lo, hi, base_on_curve):
+    rng = np.random.default_rng(seed)
+    curve = Curve(scale * rng.standard_normal((m, n)))
+    excluded = (_window_end(curve, lo), _window_end(curve, hi))
+    if (excluded[0] - excluded[1]) % 1.0 == 0.0:
+        return  # the window covers the whole curve; rejected by both
+    base = curve.eval(rng.random()) if base_on_curve else scale * rng.standard_normal(n)
+    got = curve.min_distance_excluding(base, excluded)
+    want = min_distance_loop(curve, base, excluded)
+    # Vectorised sums round differently from np.dot / np.linalg.norm.
+    assert abs(got - want) <= 1e-12 * curve.extent
+
+
 class TestInvariants:
     def test_eval_stays_on_polyline(self, ellipse4096):
         rng = np.random.default_rng(11)
@@ -206,6 +262,10 @@ class TestGenerators:
     def test_unknown_generator(self):
         with pytest.raises(InvalidArgumentError):
             make_curve("nope", samples=64)
+
+    def test_unknown_parameter(self):
+        with pytest.raises(InvalidArgumentError, match="foo"):
+            make_curve("circle", samples=64, foo=1)
 
     def test_sample_floor(self):
         with pytest.raises(InvalidArgumentError):

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from triscribe import (
+    Curve,
+    DegenerateConfigurationError,
     NoBracketError,
+    NumericalDegeneracyError,
     PlanarPath,
+    SingularPathError,
     apply_frame,
     canonical_frame,
     check_hypothesis,
@@ -14,12 +18,14 @@ from triscribe import (
     equilateral_shape,
     make_curve,
     near_base_param,
+    passes_through,
     refine_similar,
     shape_from_degrees,
     solve_similar,
     sphere_winding,
     sweep_similar,
     third_vertex_sphere,
+    winding_closed,
 )
 from triscribe.oracle import winding_by_crossing_count
 
@@ -116,6 +122,80 @@ class TestSphereWinding:
             for shape in (EQ, RIGHT_ISOCELES):
                 t1 = curve.farthest_param(curve.origin)
                 assert sphere_winding(curve, t1, shape).winding == 0
+
+
+def rotated_reference_winding(curve, t, shape, tol=1e-9):
+    """The composition ``sphere_winding`` replaces: rotate into the canonical
+    frame, project, then ``passes_through`` / ``winding_closed``.  None means
+    singular."""
+    sphere = third_vertex_sphere(curve.origin, curve.eval(t), shape)
+    projected = cylindrical_project(apply_frame(canonical_frame(sphere), curve.points))
+    path = PlanarPath(projected, closed=True)
+    if passes_through(path, PROJECTION_BASE, tol) is not None:
+        return None
+    try:
+        return winding_closed(path, PROJECTION_BASE)
+    except (SingularPathError, NumericalDegeneracyError):
+        return None
+
+
+KERNEL_CASES = [
+    ("circle", {}, 0.0, (60, 60, 60)),
+    ("ellipse", {"a": 2, "b": 1}, 0.25, (90, 45, 45)),
+    ("tilted_circle_nd", {"n": 3}, 0.0, (50, 60, 70)),
+    ("tilted_circle_nd", {"n": 6}, 0.5, (60, 60, 60)),
+    ("trefoil", {}, 0.0, (50, 60, 70)),
+    ("polygon", {"sides": 5}, 0.125, (40, 70, 70)),
+    ("polygon", {"sides": 5, "samples": 16}, 0.0, (120, 30, 30)),  # long closing segment
+    ("corner_wedge", {}, 0.0, (90, 45, 45)),  # a continuum: many singular nodes
+    ("corner_wedge", {}, 0.5, (30, 75, 75)),
+    ("u_turn", {}, 0.25, (60, 60, 60)),
+    ("fourier", {"seed": 0}, 0.75, (30, 75, 75)),
+    ("fourier", {"seed": 3}, 0.0, (120, 30, 30)),
+]
+
+
+@pytest.mark.parametrize("name,kwargs,base,angles", KERNEL_CASES)
+def test_kernel_matches_rotated_reference(name, kwargs, base, angles):
+    """Winding and singular flag agree with the rotated composition on a
+    256-node grid over the whole curve and on bisection nodes, where the
+    sphere touches the curve."""
+    curve = make_curve(name, **{"samples": 1024, **kwargs}).with_base_param(base)
+    shape = shape_from_degrees(*angles)
+    grid = []
+    for t in (np.arange(256) + 0.5) / 256:
+        try:
+            grid.append(sphere_winding(curve, t, shape))
+        except DegenerateConfigurationError:
+            continue
+    nodes = list(grid)
+    for a, b in zip(grid[:-1], grid[1:]):
+        if a.singular or b.singular or a.winding == b.winding:
+            continue
+        lo, hi = a.t, b.t
+        for _ in range(40):
+            mid = sphere_winding(curve, 0.5 * (lo + hi), shape)
+            nodes.append(mid)
+            if mid.singular:
+                break
+            lo, hi = (mid.t, hi) if mid.winding == a.winding else (lo, mid.t)
+    for sample in nodes:
+        expected = rotated_reference_winding(curve, sample.t, shape)
+        assert sample.singular == (expected is None), sample
+        assert sample.winding == expected, sample
+
+
+def test_kernel_vertex_tolerance_scales_with_diameter():
+    """A tiny sphere makes the projected path huge; a vertex 3e-9 from (1, 0)
+    is then singular by the 1e-12 * diameter vertex rule, not by ``tol``."""
+    r = math.sqrt(3.0) / 2.0 * 1e-3
+    curve = Curve([(0, 0), (1e-3, 0), (0.5e-3, r * (1.0 + 3e-9)), (5, 0.2), (5, 5), (0, 5)])
+    t = float(curve.params[1])
+    sphere = third_vertex_sphere(curve.origin, curve.eval(t), EQ)
+    projected = cylindrical_project(apply_frame(canonical_frame(sphere), curve.points))
+    assert passes_through(PlanarPath(projected, closed=True), PROJECTION_BASE, 1e-9) is None
+    assert rotated_reference_winding(curve, t, EQ) is None
+    assert sphere_winding(curve, t, EQ).singular
 
 
 class TestSweep:

@@ -32,7 +32,6 @@ from .solvers import (
     EquilateralOutcome,
     InscribedTriangle,
     SimilarOutcome,
-    SolveOptions,
     SweepResult,
     WindingSample,
     check_hypothesis,
@@ -66,7 +65,6 @@ __all__ = [
     "ScaledIsometry",
     "SimilarOutcome",
     "SingularPathError",
-    "SolveOptions",
     "Sphere",
     "SweepResult",
     "TriangleShape",

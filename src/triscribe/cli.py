@@ -24,7 +24,7 @@ from .errors import InvalidArgumentError, NoBracketError, RefineFailedError, Tri
 from .frames import cylindrical_project
 from .shape import shape_from_degrees
 from .solvers import (
-    SolveOptions,
+    EPSILON_LADDER,
     check_strong_monotone,
     chord_angle_bounds,
     completed_report,
@@ -41,8 +41,6 @@ EXIT_NO_RESULT = 2
 EXIT_USAGE = 64
 EXIT_NO_INPUT = 66
 
-EPSILON_LADDER = SolveOptions().epsilon_ladder
-
 
 class CLIUsageError(Exception):
     pass
@@ -51,6 +49,28 @@ class CLIUsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CLIUsageError(message)
+
+
+def _checked(kind, accept, requirement):
+    """argparse type: convert with ``kind``, then reject values failing ``accept``."""
+
+    def parse(text):
+        value = kind(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid <type> value" message reads it
+    return parse
+
+
+def _at_least(minimum):
+    return _checked(int, lambda v: v >= minimum, f"at least {minimum}")
+
+
+_finite = _checked(float, math.isfinite, "finite")
+_positive = _checked(float, lambda v: 0.0 < v < math.inf, "positive and finite")
+_window = _checked(float, lambda v: 0.0 < v < 0.5, "in (0, 0.5)")
 
 
 def _parse_value(text):
@@ -209,23 +229,16 @@ def _maybe_plot_ratio(args, curve):
 
 
 def _options(args):
-    kwargs = {}
-    if getattr(args, "grid", None) is not None:
-        if args.grid < 2:
-            raise CLIUsageError(f"--grid must be at least 2, got {args.grid}")
-        kwargs["grid_size"] = args.grid
-    if getattr(args, "tol", None) is not None:
-        if not 0.0 < args.tol < math.inf:
-            raise CLIUsageError(f"--tol must be positive and finite, got {args.tol}")
-        kwargs["residual_tol"] = args.tol
-    return SolveOptions(**kwargs)
+    """Solver keyword arguments for the --grid and --tol flags that were given."""
+    given = {"grid_size": getattr(args, "grid", None), "residual_tol": getattr(args, "tol", None)}
+    return {key: value for key, value in given.items() if value is not None}
 
 
 def _cmd_solve_similar(args):
     curve = parse_curve_arg(args.curve)
     shape = parse_angles(args.angles)
     started = time.perf_counter()
-    outcome = solve_similar(curve, shape, base_param=args.base, options=_options(args))
+    outcome = solve_similar(curve, shape, base_param=args.base, **_options(args))
     elapsed = time.perf_counter() - started
     work = curve.with_base_param(args.base)
     report = {
@@ -248,7 +261,7 @@ def _cmd_solve_similar(args):
 def _cmd_solve_equilateral(args):
     curve = parse_curve_arg(args.curve)
     started = time.perf_counter()
-    outcome = solve_equilateral(curve, base_param=args.base, options=_options(args))
+    outcome = solve_equilateral(curve, base_param=args.base, **_options(args))
     elapsed = time.perf_counter() - started
     work = curve.with_base_param(args.base)
     triangles = [outcome.triangle] if outcome.triangle else []
@@ -276,7 +289,7 @@ def _cmd_solve_equilateral(args):
 def _cmd_check_hypothesis(args):
     curve = parse_curve_arg(args.curve).with_base_param(args.base)
     shape = parse_angles(args.angles)
-    ladder = [args.delta] if args.delta else list(EPSILON_LADDER)
+    ladder = [args.delta] if args.delta is not None else list(EPSILON_LADDER)
     reports = []
     chosen = None
     for delta in ladder:
@@ -298,7 +311,7 @@ def _cmd_check_hypothesis(args):
 
 def _cmd_check_monotone(args):
     curve = parse_curve_arg(args.curve).with_base_param(args.base)
-    ladder = [args.epsilon] if args.epsilon else list(EPSILON_LADDER)
+    ladder = [args.epsilon] if args.epsilon is not None else list(EPSILON_LADDER)
     scanned = []
     chosen = None
     for eps in ladder:
@@ -320,8 +333,7 @@ def _cmd_check_monotone(args):
 def _cmd_sweep(args):
     curve = parse_curve_arg(args.curve).with_base_param(args.base)
     shape = parse_angles(args.angles)
-    opts = _options(args)
-    result = sweep_similar(curve, shape, grid_size=opts.grid_size, options=opts)
+    result = sweep_similar(curve, shape, **_options(args))
     report = {
         "command": "sweep",
         "input": _input_dict(args, curve),
@@ -362,7 +374,7 @@ def build_parser():
 
     def common(p, angles=False):
         p.add_argument("--curve", required=True, help="curve JSON file or gen:name,k=v,...")
-        p.add_argument("--base", type=float, default=0.0, help="base-point parameter in [0,1)")
+        p.add_argument("--base", type=_finite, default=0.0, help="base-point parameter in [0,1)")
         if angles:
             p.add_argument("--angles", required=True, help="vertex angles in degrees, e.g. 60,60,60")
         p.add_argument("--out", help="write the JSON report here instead of stdout")
@@ -370,36 +382,34 @@ def build_parser():
 
     p = sub.add_parser("solve-similar", help="inscribe a triangle similar to --angles")
     common(p, angles=True)
-    p.add_argument("--grid", type=int, default=None, help="sweep grid size (default 256)")
-    p.add_argument("--tol", type=float, default=None, help="residual tolerance (default 1e-9)")
+    p.add_argument("--grid", type=_at_least(2), help="sweep grid size (default 256)")
+    p.add_argument("--tol", type=_positive, help="residual tolerance (default 1e-9)")
     p.add_argument("--plot-svg", help="write an SVG of the curve and found triangles")
     p.add_argument("--plot-ratio-path", help="<s>,<file>: also plot the ratio path at s")
     p.set_defaults(fn=_cmd_solve_similar)
 
     p = sub.add_parser("solve-equilateral", help="inscribe an equilateral triangle at the base")
     common(p)
-    p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_positive, help="residual tolerance (default 1e-9)")
     p.add_argument("--plot-svg")
     p.add_argument("--plot-ratio-path")
     p.set_defaults(fn=_cmd_solve_equilateral)
 
     p = sub.add_parser("check-hypothesis", help="report the chord-angle condition")
     common(p, angles=True)
-    p.add_argument("--delta", type=float, default=None, help="window half-width (default: ladder)")
-    p.add_argument("--samples", type=int, default=64)
+    p.add_argument("--delta", type=_window, help="window half-width (default: ladder)")
+    p.add_argument("--samples", type=_at_least(8), default=64, help="grid nodes per axis")
     p.set_defaults(fn=_cmd_check_hypothesis)
 
     p = sub.add_parser("check-monotone", help="report strong monotonicity at the base")
     common(p)
-    p.add_argument("--epsilon", type=float, default=None, help="window half-width (default: ladder)")
-    p.add_argument("--samples", type=int, default=32)
+    p.add_argument("--epsilon", type=_window, help="window half-width (default: ladder)")
+    p.add_argument("--samples", type=_at_least(4), default=32, help="probe points")
     p.set_defaults(fn=_cmd_check_monotone)
 
     p = sub.add_parser("sweep", help="run the invariant sweep without refinement")
     common(p, angles=True)
-    p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--grid", type=_at_least(2), help="sweep grid size (default 256)")
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("plot", help="emit SVG plots without solving")

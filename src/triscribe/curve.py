@@ -178,6 +178,8 @@ class Curve:
         Solvers fix the base point at parameter 0; this realizes an arbitrary
         requested base parameter without changing the traced point set.
         """
+        if not math.isfinite(t):
+            raise InvalidArgumentError(f"base parameter must be finite, got {t}")
         u = float(np.mod(t, 1.0))
         if u == 0.0:
             return self
@@ -197,8 +199,11 @@ class Curve:
         """Parameter t1 maximizing the distance to ``base``.
 
         The distance along any single segment is convex, so the vertex argmax
-        already attains the global maximum; a golden-section pass over the two
-        adjacent segments settles ties and flat spots deterministically.
+        already attains the global maximum.  A golden-section pass over the two
+        adjacent segments still replaces it unless strictly nearer, which moves
+        t1 off the vertex by up to ~1e-13 on many curves (4096-sample unit
+        circle: 0.500000000000012, vertex 0.5000000000000447); reports carry
+        those digits.
         """
         base = np.asarray(base, dtype=float)
         if base.shape != (self.dimension,):

@@ -40,25 +40,17 @@ from .frames import third_vertex_sphere
 from .shape import equilateral_shape, residuals
 from .winding import PlanarPath, winding_closed
 
+# Window half-widths scanned for a certified angle or monotone condition, and
+# the window used when no rung passes.
 EPSILON_LADDER = (0.2, 0.1, 0.05, 0.02, 0.01)
+FALLBACK_EPSILON = 0.05
+ANGLE_SAMPLES = 64  # chord-angle grid nodes per axis
+RATIO_SAMPLES = 1024  # points per ratio path
+SINGULAR_TOL = 1e-9  # projected distance to (1, 0) at which the curve touches the sphere
+DEDUPE_TOL = 1e-4  # parameter distance under which two found triangles are one
+BISECT_WIDTH = 1e-10  # parameter width at which bisection stops
+MAX_NEWTON_ITERS = 100
 PROJECTION_BASE = np.array([1.0, 0.0])
-
-
-@dataclass(frozen=True)
-class SolveOptions:
-    grid_size: int = 256
-    angle_samples: int = 64
-    ratio_samples: int = 1024
-    residual_tol: float = 1e-9
-    singular_tol: float = 1e-9
-    dedupe_tol: float = 1e-4
-    bisect_width: float = 1e-10
-    epsilon_ladder: tuple = EPSILON_LADDER
-    fallback_epsilon: float = 0.05
-    max_newton_iters: int = 100
-
-
-DEFAULT_OPTIONS = SolveOptions()
 
 
 def _param_distance(a, b):
@@ -224,15 +216,14 @@ def _projected_winding(columns, sphere, tol):
     return int(signs[rho_at_zero > 1.0].sum())
 
 
-def sphere_winding(curve, t, shape, options=None):
+def sphere_winding(curve, t, shape):
     """Winding invariant of the projected, re-framed curve at sweep parameter t."""
-    opts = options or DEFAULT_OPTIONS
     base = curve.origin
     p = curve.eval(t)
     if np.linalg.norm(p - base) < 1e-14 * max(curve.extent, 1.0):
         raise DegenerateConfigurationError("swept point coincides with the base point")
     sphere = third_vertex_sphere(base, p, shape)
-    w = _projected_winding(curve.columns, sphere, opts.singular_tol)
+    w = _projected_winding(curve.columns, sphere, SINGULAR_TOL)
     if w is None:
         return WindingSample(
             t=float(t),
@@ -300,20 +291,18 @@ class InscribedTriangle:
 class SweepResult:
     grid: list
     bracket: tuple | None
-    crossings: list
     seeds: list
     t_far: float
     t_near: float
     epsilon: float
 
 
-def sweep_similar(curve, shape, grid_size=256, epsilon=None, options=None):
+def sweep_similar(curve, shape, grid_size=256, epsilon=FALLBACK_EPSILON):
     """Evaluate the invariant on a grid from the near-base parameter to the
     farthest parameter and bisect every change to a certified bracket."""
-    opts = options or DEFAULT_OPTIONS
     if grid_size < 2:
         raise InvalidArgumentError("grid size must be at least 2")
-    eps = float(epsilon) if epsilon is not None else opts.fallback_epsilon
+    eps = float(epsilon)
     base = curve.origin
     t_far = curve.farthest_param(base)
     t_near = near_base_param(curve, shape, eps)
@@ -325,7 +314,7 @@ def sweep_similar(curve, shape, grid_size=256, epsilon=None, options=None):
 
     def sample(t):
         try:
-            return sphere_winding(curve, t, shape, opts)
+            return sphere_winding(curve, t, shape)
         except DegenerateConfigurationError:
             return None
 
@@ -348,7 +337,7 @@ def sweep_similar(curve, shape, grid_size=256, epsilon=None, options=None):
             continue
         lo, hi, w_lo = a.t, b.t, a.winding
         singular_mid = None
-        while hi - lo > opts.bisect_width:
+        while hi - lo > BISECT_WIDTH:
             mid = 0.5 * (lo + hi)
             ws = sample(mid)
             if ws is None or ws.singular:
@@ -376,7 +365,6 @@ def sweep_similar(curve, shape, grid_size=256, epsilon=None, options=None):
     return SweepResult(
         grid=grid,
         bracket=bracket,
-        crossings=[],
         seeds=seeds,
         t_far=t_far,
         t_near=t_near,
@@ -395,14 +383,14 @@ def _finite_difference_jacobian(fn, v, step=1e-7):
     return jac
 
 
-def refine_similar(curve, shape, t0, s0, options=None):
+def refine_similar(curve, shape, t0, s0, residual_tol=1e-9):
     """Damped Newton on the two ratio residuals, seeded from a bracket.
 
     Variables are the parameters of the swept vertex p and the third vertex q.
     Central finite differences handle the polyline kinks; if Newton stalls, a
-    coordinate-wise golden-section pass restarts it.
+    coordinate-wise golden-section pass restarts it.  The residuals are
+    dimensionless side ratios, so ``residual_tol`` does not scale with the curve.
     """
-    opts = options or DEFAULT_OPTIONS
     base = curve.origin
     big = 1e6
 
@@ -416,7 +404,7 @@ def refine_similar(curve, shape, t0, s0, options=None):
     v = np.array([float(t0), float(s0)])
     best_v, best_norm = v.copy(), float(np.max(np.abs(g(v))))
     stalls = 0
-    for _ in range(opts.max_newton_iters):
+    for _ in range(MAX_NEWTON_ITERS):
         gv = g(v)
         norm = float(np.max(np.abs(gv)))
         if norm < best_norm:
@@ -455,7 +443,6 @@ def refine_similar(curve, shape, t0, s0, options=None):
     norm = float(np.max(np.abs(gv)))
     if norm < best_norm:
         best_v, best_norm = v.copy(), norm
-    tol = opts.residual_tol * max(1.0, curve.extent)
     t_p = float(np.mod(best_v[0], 1.0))
     t_q = float(np.mod(best_v[1], 1.0))
     res = g(best_v)
@@ -468,9 +455,9 @@ def refine_similar(curve, shape, t0, s0, options=None):
         residual_oq=float(res[0]),
         residual_pq=float(res[1]),
     )
-    if best_norm > tol:
+    if best_norm > residual_tol:
         raise RefineFailedError(
-            f"refinement stalled at residual {best_norm:.3e} (tolerance {tol:.3e})",
+            f"refinement stalled at residual {best_norm:.3e} (tolerance {residual_tol:.3e})",
             best=triangle,
         )
     return triangle
@@ -481,7 +468,6 @@ class SimilarOutcome:
     triangles: list
     hypothesis: AngleConditionReport | None
     sweep: SweepResult
-    epsilon: float
     warnings: list
 
 
@@ -498,21 +484,20 @@ def _dedupe(triangles, tol):
     return kept
 
 
-def solve_similar(curve, shape, base_param=0.0, options=None):
+def solve_similar(curve, shape, base_param=0.0, grid_size=256, residual_tol=1e-9):
     """Find triangles similar to ``shape`` inscribed in the curve with the
     distinguished vertex at the requested base parameter.
 
     The angle condition is sufficient, not necessary, so a failed check only
     warns.  Raises NoBracketError when the sweep sees no invariant change.
     """
-    opts = options or DEFAULT_OPTIONS
     work = curve.with_base_param(base_param)
     warnings = []
     hypothesis = None
     epsilon = None
-    for delta in opts.epsilon_ladder:
+    for delta in EPSILON_LADDER:
         try:
-            report = chord_angle_bounds(work, delta, opts.angle_samples)
+            report = chord_angle_bounds(work, delta, ANGLE_SAMPLES)
         except DegenerateConfigurationError as exc:
             warnings.append(f"angle scan at delta={delta} failed: {exc}")
             continue
@@ -521,27 +506,24 @@ def solve_similar(curve, shape, base_param=0.0, options=None):
             epsilon = delta
             break
     if epsilon is None:
-        epsilon = opts.fallback_epsilon
+        epsilon = FALLBACK_EPSILON
         warnings.append(
             "angle condition not certified on the ladder; continuing anyway "
             "(the condition is sufficient, not necessary)"
         )
-    sweep = sweep_similar(work, shape, opts.grid_size, epsilon=epsilon, options=opts)
+    sweep = sweep_similar(work, shape, grid_size, epsilon=epsilon)
     triangles = []
     for t0, s0 in sweep.seeds:
         if s0 is None:
             continue
         try:
-            triangles.append(refine_similar(work, shape, t0, s0, opts))
+            triangles.append(refine_similar(work, shape, t0, s0, residual_tol))
         except RefineFailedError as exc:
             warnings.append(str(exc))
-    triangles = _dedupe(triangles, opts.dedupe_tol)
-    sweep.crossings = triangles
     return SimilarOutcome(
-        triangles=triangles,
+        triangles=_dedupe(triangles, DEDUPE_TOL),
         hypothesis=hypothesis,
         sweep=sweep,
-        epsilon=epsilon,
         warnings=warnings,
     )
 
@@ -626,7 +608,7 @@ class EquilateralOutcome:
     warnings: list
 
 
-def solve_equilateral(curve, base_param=0.0, options=None):
+def solve_equilateral(curve, base_param=0.0, residual_tol=1e-9):
     """Inscribe an equilateral triangle with one vertex at the base point.
 
     Scans the window ladder for a strongly monotone window (warns and
@@ -634,12 +616,11 @@ def solve_equilateral(curve, base_param=0.0, options=None):
     the origin, bisects the anchor parameter to bracket a ratio path through
     the origin, and polishes with the shared Newton refiner.
     """
-    opts = options or DEFAULT_OPTIONS
     work = curve.with_base_param(base_param)
     base = work.origin
     warnings = []
     epsilon = None
-    for eps in opts.epsilon_ladder:
+    for eps in EPSILON_LADDER:
         try:
             if check_strong_monotone(work, eps):
                 epsilon = eps
@@ -648,7 +629,7 @@ def solve_equilateral(curve, base_param=0.0, options=None):
             warnings.append(f"monotone scan at eps={eps} failed: {exc}")
     strongly_monotone = epsilon is not None
     if not strongly_monotone:
-        epsilon = opts.fallback_epsilon
+        epsilon = FALLBACK_EPSILON
         warnings.append(
             "no strongly monotone window found on the ladder; continuing anyway"
         )
@@ -663,7 +644,7 @@ def solve_equilateral(curve, base_param=0.0, options=None):
         raise NoBracketError(
             f"farthest parameter {s_far:.6g} does not precede the near anchor {s_near:.6g}"
         )
-    m = opts.ratio_samples
+    m = RATIO_SAMPLES
     path_far = ratio_path(work, s_far, m)
     try:
         loop_w = _loop_winding(work, path_far, s_near, m)
@@ -676,7 +657,7 @@ def solve_equilateral(curve, base_param=0.0, options=None):
     lo, hi = s_far, s_near
     w_hi = loop_w if loop_w is not None else 1
     s_hit = None
-    while hi - lo > opts.bisect_width:
+    while hi - lo > BISECT_WIDTH:
         mid = 0.5 * (lo + hi)
         try:
             w_mid = _loop_winding(work, path_far, mid, m)
@@ -690,7 +671,7 @@ def solve_equilateral(curve, base_param=0.0, options=None):
     s_star = s_hit if s_hit is not None else 0.5 * (lo + hi)
     probe = ratio_path(work, s_star, max(m, 2048))
     t_star = float(np.argmin(row_norms(probe.points))) / (max(m, 2048) - 1)
-    triangle = refine_similar(work, equilateral_shape(), s_star, s_star * t_star, opts)
+    triangle = refine_similar(work, equilateral_shape(), s_star, s_star * t_star, residual_tol)
     return EquilateralOutcome(
         triangle=triangle,
         epsilon=epsilon,

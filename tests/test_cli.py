@@ -82,6 +82,15 @@ class TestSolveEquilateral:
         assert report["monotone"]["strongly_monotone"] is True
         assert report["monotone"]["loop_winding"] == 1
 
+    def test_scaled_u_turn_refinement_fails(self, capsys):
+        # The residuals are scale-free: a 1e9-times larger fold fails as the unit one does.
+        code = run(["solve-equilateral", "--curve", "gen:u_turn,leg=1e9,samples=1024",
+                    "--no-timing"])
+        captured = capsys.readouterr()
+        assert code == EXIT_NO_RESULT
+        assert captured.out == ""
+        assert captured.err.startswith("refinement failed: refinement stalled at residual")
+
 
 class TestCheckCommands:
     def test_check_hypothesis_ellipse(self, capsys):
@@ -146,6 +155,29 @@ class TestErrorPaths:
             argv += ["--angles", "60,60,60"]
         assert run(argv) == EXIT_USAGE
         assert "--tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["solve-similar", "--angles", "60,60,60", "--base", "nan"], "--base"),
+            (["solve-equilateral", "--base", "inf"], "--base"),
+            (["sweep", "--angles", "60,60,60", "--base=-inf"], "--base"),
+            (["check-hypothesis", "--angles", "60,60,60", "--delta", "0"], "--delta"),
+            (["check-hypothesis", "--angles", "60,60,60", "--delta", "0.7"], "--delta"),
+            (["check-monotone", "--epsilon", "0"], "--epsilon"),
+            (["check-monotone", "--epsilon", "0.5"], "--epsilon"),
+            (["check-hypothesis", "--angles", "60,60,60", "--samples", "7"], "--samples"),
+            (["check-monotone", "--samples", "3"], "--samples"),
+            (["solve-equilateral", "--grid", "7"], "--grid"),
+            (["sweep", "--angles", "60,60,60", "--tol", "1e-6"], "--tol"),
+        ],
+    )
+    def test_flag_rejected_at_boundary(self, capsys, argv, flag):
+        code = run([argv[0], "--curve", "gen:circle,samples=256", *argv[1:], "--no-timing"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1 and flag in captured.err
 
     def test_unknown_generator_parameter(self, capsys):
         code = run(["solve-similar", "--curve", "gen:circle,foo=1", "--angles", "60,60,60"])

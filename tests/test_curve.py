@@ -218,6 +218,11 @@ class TestBaseRelocation:
     def test_noop(self, unit_square):
         assert unit_square.with_base_param(0.0) is unit_square
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, unit_square, t):
+        with pytest.raises(InvalidArgumentError, match="base parameter must be finite"):
+            unit_square.with_base_param(t)
+
 
 class TestJsonInterface:
     def test_point_list_round_trip(self, unit_square):

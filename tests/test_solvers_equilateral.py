@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from triscribe import (
+    Curve,
+    RefineFailedError,
     check_strong_monotone,
     equilateral_shape,
     make_curve,
@@ -101,3 +103,26 @@ class TestSolveEquilateral:
         tri = outcome.triangle
         assert np.allclose(tri.point_o, circle4096.points[2048])
         assert tri.max_residual < 1e-9
+
+
+def _answer(curve):
+    try:
+        tri = solve_equilateral(curve).triangle
+    except RefineFailedError:
+        return None
+    return (tri.t_p, tri.t_q)
+
+
+class TestScaleFreeAcceptance:
+    def test_residual_tol_keyword(self):
+        fold = make_curve("u_turn", samples=1024)
+        assert 0.4 < solve_equilateral(fold, residual_tol=1.0).triangle.max_residual < 1.0
+
+    @pytest.mark.parametrize("name, accepted", [("circle", True), ("ellipse", True),
+                                                ("u_turn", False)])
+    def test_same_decision_at_every_scale(self, name, accepted):
+        unit = make_curve(name, samples=1024)
+        answers = [_answer(Curve(unit.points * scale)) for scale in (1e-6, 1.0, 1e6, 1e9)]
+        assert [a is not None for a in answers] == [accepted] * 4
+        if accepted:
+            assert np.abs(np.array(answers) - np.array(answers[1])).max() < 1e-9

@@ -28,6 +28,7 @@ from triscribe import (
     winding_closed,
 )
 from triscribe.oracle import winding_by_crossing_count
+from triscribe.solvers import FALLBACK_EPSILON
 
 from conftest import modular_distance, pair_distance_unordered
 
@@ -279,6 +280,36 @@ class TestSolveSimilar:
         assert tri.max_residual < 1e-9
         found = sorted([tri.t_p, tri.t_q])
         assert abs(found[0] - 1.0 / 3.0) < 1e-4 and abs(found[1] - 2.0 / 3.0) < 1e-4
+
+
+class TestKeywords:
+    def test_sweep_defaults_to_fallback_epsilon(self, circle4096):
+        result = sweep_similar(circle4096, EQ, grid_size=64)
+        assert result.epsilon == FALLBACK_EPSILON
+        assert result.t_near == near_base_param(circle4096, EQ, FALLBACK_EPSILON)
+
+    def test_solve_similar_grid_size(self, circle4096):
+        with pytest.raises(NoBracketError) as err:
+            solve_similar(circle4096, EQ, grid_size=2)
+        assert len(err.value.grid) == 2
+        assert len(solve_similar(circle4096, EQ, grid_size=64).sweep.grid) == 64
+
+    def test_solve_similar_residual_tol(self, circle4096):
+        outcome = solve_similar(circle4096, EQ, grid_size=64, residual_tol=1e-30)
+        assert outcome.triangles == []
+        assert any(w.startswith("refinement stalled") for w in outcome.warnings)
+
+    @pytest.mark.parametrize("name", ["circle", "ellipse"])
+    def test_same_triangles_at_every_scale(self, name):
+        unit = make_curve(name, samples=1024)
+        found = []
+        for scale in (1e-6, 1.0, 1e6):
+            outcome = solve_similar(Curve(unit.points * scale), EQ)
+            found.append(np.array([(t.t_p, t.t_q) for t in outcome.triangles]))
+        assert len(found[1]) > 0
+        for params in found:
+            assert params.shape == found[1].shape
+            assert np.abs(params - found[1]).max() < 1e-9
 
 
 class TestNearBaseParam:

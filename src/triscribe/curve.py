@@ -88,6 +88,7 @@ class Curve:
         self._points = pts
         self._params = params  # length m + 1, last entry exactly 1
         self._total_length = total
+        self._bounds = None
         self._extent = None
         self._columns = None
 
@@ -120,11 +121,21 @@ class Curve:
         return self._points[0]
 
     @property
+    def bounds(self):
+        """Per-axis ``(lower, upper)`` corners of the vertices' bounding box."""
+        if self._bounds is None:
+            lower, upper = self._points.min(axis=0), self._points.max(axis=0)
+            lower.setflags(write=False)
+            upper.setflags(write=False)
+            self._bounds = (lower, upper)
+        return self._bounds
+
+    @property
     def extent(self):
         """Bounding-box diagonal, a cheap stand-in for the diameter."""
         if self._extent is None:
-            span = self._points.max(axis=0) - self._points.min(axis=0)
-            self._extent = float(np.linalg.norm(span))
+            lower, upper = self.bounds
+            self._extent = float(np.linalg.norm(upper - lower))
         return self._extent
 
     @property

@@ -81,7 +81,7 @@ class AngleConditionReport:
 def _unit_chords(curve, params, base):
     rel = curve.eval_many(params) - base
     norms = row_norms(rel)
-    if np.any(norms < 1e-14 * max(curve.extent, 1.0)):
+    if np.any(norms < 1e-14 * curve.extent):
         raise DegenerateConfigurationError("curve revisits the base point inside the window")
     return rel / norms[:, None]
 
@@ -168,48 +168,107 @@ def _nearest_param_to_sphere(curve, sphere):
     return float(np.mod(t_star, 1.0))
 
 
-def _projected_winding(columns, sphere, tol):
-    """Winding number around (1, 0) of the closed polyline with vertex
-    coordinates ``columns`` (n, m), after the canonical frame and cylindrical
-    projection, or None when it is singular.
-
-    The projection of a vertex x is closed-form: with v = x - center and
-    h = v . normal it is (|v - h normal| / r, h / r), so no rotation is
-    applied.  The path is singular when a segment (the closing one included)
-    comes within ``tol`` of (1, 0), as in ``passes_through``, or a vertex within
-    1e-12 times the path's diameter, as in ``winding_closed``.  Only segments that
-    straddle z = 0 or end near it can be that close, so exact distances are
-    taken on those alone.  The winding is the signed count of crossings of the
-    ray from (1, 0) toward +rho, with half-open straddling (z < 0 against
-    z >= 0) so that a vertex on the ray is counted once.
-    """
-    radius = sphere.radius
-    m = columns.shape[1]
-    # In-place steps keep the (m,) temporaries few: fresh large arrays cost page faults.
+def _cylinder_coords(columns, sphere):
+    """``(w_sq, h)`` for each vertex column x of ``columns`` (n, k), with
+    v = x - center, h = v . normal and w_sq = |v - h normal|^2: the projected
+    point is (sqrt(w_sq) / r, h / r)."""
     v = columns - sphere.center[:, None]
     h = sphere.normal @ v
     w_sq = np.einsum("ij,ij->j", v, v)
     w_sq -= h * h
     np.maximum(w_sq, 0.0, out=w_sq)
+    return w_sq, h
+
+
+def _vertex_tolerance(columns, sphere):
+    """1e-12 times the diameter of the projected path, the vertex tolerance of
+    ``winding_closed``.  One full pass over the curve."""
+    radius = sphere.radius
+    w_sq, h = _cylinder_coords(columns, sphere)
     z = np.divide(h, radius, out=h)
     # sqrt and division by r are monotone, so the extremes of rho come from w_sq.
     rho_span = (math.sqrt(w_sq.max()) - math.sqrt(w_sq.min())) / radius
-    vtol = 1e-12 * max(math.hypot(rho_span, float(z.max() - z.min())), 1e-300)
-    # Factor 2: a margin against rounding in the "provably far" argument.
-    thr = 2.0 * max(tol, vtol)
-    near = (z <= thr) & (z >= -thr)
-    below = z < 0.0
-    cand = np.flatnonzero((below[:-1] != below[1:]) | near[:-1] | near[1:])
-    if below[-1] != below[0] or near[-1] or near[0]:
-        cand = np.append(cand, m - 1)
-    nxt = (cand + 1) % m
-    a = np.column_stack([np.sqrt(w_sq[cand]) / radius, z[cand]])
-    b = np.column_stack([np.sqrt(w_sq[nxt]) / radius, z[nxt]])
+    return 1e-12 * max(math.hypot(rho_span, float(z.max() - z.min())), 1e-300)
+
+
+def _vertex_tolerance_bound(curve, sphere):
+    """Upper bound on ``_vertex_tolerance`` from the curve's bounding box.
+
+    With R the distance from the center to the box's farthest corner, rho is
+    at most R / r and the z-span at most 2 R / r, so the projected diameter is
+    at most sqrt(5) R / r; 1 + 1e-10 covers the rounding of the exact pass.
+    """
+    center = sphere.center
+    lower, upper = curve.bounds
+    reach = float(np.linalg.norm(np.maximum(center - lower, upper - center)))
+    return 1e-12 * max(math.sqrt(5.0) * (1.0 + 1e-10) * reach / sphere.radius, 1e-300)
+
+
+def _candidate_segments(curve, sphere, thr):
+    """Segments j, from vertex j to vertex j + 1 mod m, whose projection may
+    straddle z = 0 or end within ``thr`` of it.
+
+    One gemv, h~ = normal . x, compared with normal . center.  ``delta`` bounds
+    the rounding of both dot products and of the exact h = normal . (x - center),
+    so a segment is left out only when both ends lie beyond thr on one side in
+    the exact projection too.
+    """
+    center, normal = sphere.center, sphere.normal
+    lower, upper = curve.bounds
+    # The box corner farthest from the origin bounds every |x|.
+    x_max = float(np.linalg.norm(np.maximum(np.abs(lower), np.abs(upper))))
+    delta = 4.0 * (curve.dimension + 2) * 2.0 ** -53 * (x_max + float(np.linalg.norm(center)))
+    offset = float(normal @ center)
+    # 1 + 1e-12 covers the relative rounding of thr * r and of z = h / r.
+    window = thr * sphere.radius * (1.0 + 1e-12) + delta
+    h = normal @ curve.columns
+    above = h > offset + window
+    below = h < offset - window
+    # A segment cannot lie wholly above and wholly below, so "==" means neither.
+    cand = np.flatnonzero((above[:-1] & above[1:]) == (below[:-1] & below[1:]))
+    if not ((above[-1] and above[0]) or (below[-1] and below[0])):
+        cand = np.append(cand, curve.n_vertices - 1)
+    return cand
+
+
+def _projected_winding(curve, sphere, tol):
+    """Winding number around (1, 0) of the closed polyline ``curve`` after the
+    canonical frame and cylindrical projection, or None when it is singular.
+
+    The projection of a vertex x is closed-form: with v = x - center and
+    h = v . normal it is (|v - h normal| / r, h / r), so no rotation is
+    applied.  The path is singular when a segment (the closing one included)
+    comes within ``tol`` of (1, 0), as in ``passes_through``, or a vertex within
+    vtol = 1e-12 times the path's diameter, as in ``winding_closed``.
+
+    Bound, then verify.  Only segments that straddle z = 0 or end within
+    2 max(tol, vtol) of it can be singular or cross the ray; every other
+    segment lies at least twice the tolerances from (1, 0), which leaves room
+    for rounding.  An O(n) bound on vtol and one gemv over the curve give a
+    superset of those segments (``_candidate_segments``), and the exact
+    projection, the segment distances and the crossings are taken on the
+    candidates alone.  The exact vtol costs a full pass, so it is computed only
+    when a candidate vertex lies within the bound of (1, 0); below ``tol``
+    the segment test has already decided, so that takes a sphere about 450
+    times smaller than the curve.  The winding is the signed count of
+    crossings of the ray from (1, 0) toward +rho, with half-open straddling
+    (z < 0 against z >= 0) so that a vertex on the ray is counted once.
+    """
+    radius = sphere.radius
+    vtol_bound = _vertex_tolerance_bound(curve, sphere)
+    cand = _candidate_segments(curve, sphere, 2.0 * max(tol, vtol_bound))
+    nxt = (cand + 1) % curve.n_vertices
+    w_sq, h = _cylinder_coords(curve.columns[:, np.concatenate([cand, nxt])], sphere)
+    ends = np.column_stack([np.sqrt(w_sq) / radius, h / radius])
+    a, b = ends[: cand.size], ends[cand.size:]
     if np.any(point_segment_distances(PROJECTION_BASE, a, b) < tol):
         return None
-    if np.any(np.hypot(a[:, 0] - 1.0, a[:, 1]) <= vtol):
+    vertex_dist = np.hypot(a[:, 0] - 1.0, a[:, 1])
+    if np.any(vertex_dist <= vtol_bound) and np.any(
+        vertex_dist <= _vertex_tolerance(curve.columns, sphere)
+    ):
         return None
-    crossing = below[cand] != below[nxt]
+    crossing = (a[:, 1] < 0.0) != (b[:, 1] < 0.0)
     a, b = a[crossing], b[crossing]
     rho_at_zero = a[:, 0] - a[:, 1] * (b[:, 0] - a[:, 0]) / (b[:, 1] - a[:, 1])
     signs = np.where(b[:, 1] > a[:, 1], 1, -1)
@@ -220,10 +279,10 @@ def sphere_winding(curve, t, shape):
     """Winding invariant of the projected, re-framed curve at sweep parameter t."""
     base = curve.origin
     p = curve.eval(t)
-    if np.linalg.norm(p - base) < 1e-14 * max(curve.extent, 1.0):
+    if np.linalg.norm(p - base) < 1e-14 * curve.extent:
         raise DegenerateConfigurationError("swept point coincides with the base point")
     sphere = third_vertex_sphere(base, p, shape)
-    w = _projected_winding(curve.columns, sphere, SINGULAR_TOL)
+    w = _projected_winding(curve, sphere, SINGULAR_TOL)
     if w is None:
         return WindingSample(
             t=float(t),
@@ -550,7 +609,7 @@ def check_strong_monotone(curve, epsilon, samples=32):
     rel = curve.eval_many(np.mod(taus, 1.0)) - base
     dists = row_norms(rel)
     away = np.abs(taus) > epsilon / 8.0
-    if np.any(dists[away] < 1e-13 * max(curve.extent, 1.0)):
+    if np.any(dists[away] < 1e-13 * curve.extent):
         raise DegenerateConfigurationError("curve revisits the base point inside the window")
     sigmas = -epsilon + (np.arange(samples) + 0.5) * (2.0 * epsilon / samples)
     probes = curve.eval_many(np.mod(sigmas, 1.0)) - base
@@ -577,7 +636,7 @@ def ratio_path(curve, s, samples=1024):
     base = curve.origin
     anchor = curve.eval(s)
     span = row_norms((anchor - base)[None, :])[0]
-    if span < 1e-14 * max(curve.extent, 1.0):
+    if span < 1e-14 * curve.extent:
         raise DegenerateConfigurationError("anchor point coincides with the base point")
     ts = np.linspace(0.0, 1.0, samples)
     pts = curve.eval_many(s * ts)

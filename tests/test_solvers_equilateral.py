@@ -126,3 +126,16 @@ class TestScaleFreeAcceptance:
         assert [a is not None for a in answers] == [accepted] * 4
         if accepted:
             assert np.abs(np.array(answers) - np.array(answers[1])).max() < 1e-9
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-13])
+    def test_tiny_circle_same_as_unit(self, scale):
+        """The revisit guard scales with the curve: a tiny circle keeps the
+        unit circle's monotone window and triangle, with no warnings."""
+        unit = make_curve("circle", samples=1024)
+        expected = solve_equilateral(unit)
+        outcome = solve_equilateral(Curve(unit.points * scale))
+        assert outcome.strongly_monotone and expected.strongly_monotone
+        assert outcome.epsilon == expected.epsilon
+        assert outcome.warnings == expected.warnings == []
+        assert abs(outcome.triangle.t_p - expected.triangle.t_p) < 1e-9
+        assert abs(outcome.triangle.t_q - expected.triangle.t_q) < 1e-9

@@ -27,8 +27,11 @@ from triscribe import (
     third_vertex_sphere,
     winding_closed,
 )
+from triscribe import solvers
+from triscribe.curve import GENERATORS
+from triscribe.frames import Sphere
 from triscribe.oracle import winding_by_crossing_count
-from triscribe.solvers import FALLBACK_EPSILON
+from triscribe.solvers import FALLBACK_EPSILON, SINGULAR_TOL
 
 from conftest import modular_distance, pair_distance_unordered
 
@@ -156,13 +159,10 @@ KERNEL_CASES = [
 ]
 
 
-@pytest.mark.parametrize("name,kwargs,base,angles", KERNEL_CASES)
-def test_kernel_matches_rotated_reference(name, kwargs, base, angles):
+def assert_kernel_matches_reference(curve, shape):
     """Winding and singular flag agree with the rotated composition on a
     256-node grid over the whole curve and on bisection nodes, where the
     sphere touches the curve."""
-    curve = make_curve(name, **{"samples": 1024, **kwargs}).with_base_param(base)
-    shape = shape_from_degrees(*angles)
     grid = []
     for t in (np.arange(256) + 0.5) / 256:
         try:
@@ -186,6 +186,32 @@ def test_kernel_matches_rotated_reference(name, kwargs, base, angles):
         assert sample.winding == expected, sample
 
 
+@pytest.mark.parametrize("name,kwargs,base,angles", KERNEL_CASES)
+def test_kernel_matches_rotated_reference(name, kwargs, base, angles):
+    curve = make_curve(name, **{"samples": 1024, **kwargs}).with_base_param(base)
+    assert_kernel_matches_reference(curve, shape_from_degrees(*angles))
+
+
+SCALED_KERNEL_CASES = [
+    ("fourier", {"seed": 0}, 0.75, (30, 75, 75), 1e-9),
+    ("fourier", {"seed": 0}, 0.75, (30, 75, 75), 1e9),
+    ("tilted_circle_nd", {"n": 6}, 0.5, (60, 60, 60), 1e-9),
+    ("trefoil", {}, 0.0, (50, 60, 70), 1e9),
+    ("corner_wedge", {}, 0.0, (90, 45, 45), 1e-9),
+    ("corner_wedge", {}, 0.0, (90, 45, 45), 1e9),
+    ("corner_wedge", {"samples": 4096}, 0.0, (90, 45, 45), 1.0),
+]
+
+
+@pytest.mark.parametrize("name,kwargs,base,angles,scale", SCALED_KERNEL_CASES)
+def test_kernel_matches_rotated_reference_scaled(name, kwargs, base, angles, scale):
+    """The candidate bound and its rounding margin scale with the curve; the
+    corner_wedge 90-45-45 continuum has a whole leg of candidate segments."""
+    unit = make_curve(name, **{"samples": 1024, **kwargs})
+    curve = Curve(unit.points * scale).with_base_param(base)
+    assert_kernel_matches_reference(curve, shape_from_degrees(*angles))
+
+
 def test_kernel_vertex_tolerance_scales_with_diameter():
     """A tiny sphere makes the projected path huge; a vertex 3e-9 from (1, 0)
     is then singular by the 1e-12 * diameter vertex rule, not by ``tol``."""
@@ -197,6 +223,78 @@ def test_kernel_vertex_tolerance_scales_with_diameter():
     assert passes_through(PlanarPath(projected, closed=True), PROJECTION_BASE, 1e-9) is None
     assert rotated_reference_winding(curve, t, EQ) is None
     assert sphere_winding(curve, t, EQ).singular
+
+
+@pytest.mark.parametrize("offset,singular", [(3e-9, True), (2.5e-8, False)])
+def test_kernel_exact_vertex_tolerance_for_tiny_sphere(monkeypatch, offset, singular):
+    """R / r is about 1.6e4, so the bounding-box bound on the vertex tolerance
+    (3.7e-8) exceeds ``tol``: a vertex within the bound of (1, 0) but farther
+    than ``tol`` from every segment needs the exact full-pass tolerance
+    (1.6e-8), which decides both ways here."""
+    exact_vertex_tolerance = solvers._vertex_tolerance
+    calls = []
+
+    def counted(columns, sphere):
+        calls.append(sphere)
+        return exact_vertex_tolerance(columns, sphere)
+
+    monkeypatch.setattr(solvers, "_vertex_tolerance", counted)
+    r = math.sqrt(3.0) / 2.0 * 1e-3
+    curve = Curve([(0, 0), (1e-3, 0), (0.5e-3, r * (1.0 + offset)), (10, 0.2), (10, 10), (0, 10)])
+    t = float(curve.params[1])
+    sphere = third_vertex_sphere(curve.origin, curve.eval(t), EQ)
+    lower, upper = curve.bounds
+    assert np.linalg.norm(np.maximum(sphere.center - lower, upper - sphere.center)) > 1e4 * r
+    sample = sphere_winding(curve, t, EQ)
+    assert len(calls) == 1
+    assert sample.singular is singular
+    assert sample.winding == rotated_reference_winding(curve, t, EQ)
+
+
+def full_pass_candidates(curve, sphere, tol):
+    """The candidate segments of a full-array pass: ends within
+    2 max(tol, vtol) of z = 0, or straddling it, in the exact projection."""
+    _, h = solvers._cylinder_coords(curve.columns, sphere)
+    z = h / sphere.radius
+    thr = 2.0 * max(tol, solvers._vertex_tolerance(curve.columns, sphere))
+    near = np.abs(z) <= thr
+    below = z < 0.0
+    return np.flatnonzero((below != np.roll(below, -1)) | near | np.roll(near, -1))
+
+
+CANDIDATE_FAMILIES = [(name, {}) for name in sorted(GENERATORS) if name != "tilted_circle_nd"] + [
+    ("tilted_circle_nd", {"n": 3}),
+    ("tilted_circle_nd", {"n": 6}),
+]
+
+
+@pytest.mark.parametrize("scale,shift", [(1e-9, 0.0), (1.0, 0.0), (1e9, 0.0), (1.0, 1e7)])
+@pytest.mark.parametrize("name,kwargs", CANDIDATE_FAMILIES)
+def test_candidate_bound_contains_full_pass_candidates(name, kwargs, scale, shift):
+    """Random spheres, from tiny to larger than the curve, some placed so that
+    a vertex has z = 0 or z = 1.5 tol: the one-gemv candidate set holds every
+    segment the full pass would examine.  Far from the origin (``shift``) the
+    rounding of the dot products can exceed 2 tol r, and only the margin
+    ``delta`` keeps the straddling segments."""
+    curve = Curve(make_curve(name, samples=1024, **kwargs).points * scale + shift)
+    rng = np.random.default_rng(len(name) + curve.dimension)
+    lower, upper = curve.bounds
+    n = curve.dimension
+    for k in range(40):
+        normal = rng.standard_normal(n)
+        normal /= np.linalg.norm(normal)
+        radius = curve.extent * 10.0 ** rng.uniform(-5.0, 1.0)
+        if k % 4 < 2:
+            # z of the vertex is 0, or 1.5 tol: inside 2 tol only.
+            vertex = curve.points[rng.integers(curve.n_vertices)]
+            center = vertex + 1.5 * (k % 4) * SINGULAR_TOL * radius * normal
+        else:
+            center = lower + (upper - lower) * rng.uniform(-0.5, 1.5, n)
+        sphere = Sphere(center, radius, normal, n)
+        bound = solvers._vertex_tolerance_bound(curve, sphere)
+        assert bound >= solvers._vertex_tolerance(curve.columns, sphere)
+        found = solvers._candidate_segments(curve, sphere, 2.0 * max(SINGULAR_TOL, bound))
+        assert np.isin(full_pass_candidates(curve, sphere, SINGULAR_TOL), found).all()
 
 
 class TestSweep:
@@ -310,6 +408,23 @@ class TestKeywords:
         for params in found:
             assert params.shape == found[1].shape
             assert np.abs(params - found[1]).max() < 1e-9
+
+
+class TestScaleFreeGuards:
+    @pytest.mark.parametrize("scale", [1e-12, 1e-13])
+    def test_tiny_circle_same_as_unit(self, scale):
+        """The degeneracy guards scale with the curve: a tiny circle keeps the
+        unit circle's certified window and triangle, with no warnings."""
+        unit = make_curve("circle", samples=1024)
+        expected = solve_similar(unit, EQ)
+        outcome = solve_similar(Curve(unit.points * scale), EQ)
+        assert outcome.hypothesis.delta == expected.hypothesis.delta == 0.2
+        assert outcome.hypothesis.satisfied
+        assert outcome.sweep.epsilon == expected.sweep.epsilon
+        assert outcome.warnings == expected.warnings == []
+        assert len(outcome.triangles) == len(expected.triangles) == 1
+        assert abs(outcome.triangles[0].t_p - expected.triangles[0].t_p) < 1e-9
+        assert abs(outcome.triangles[0].t_q - expected.triangles[0].t_q) < 1e-9
 
 
 class TestNearBaseParam:

@@ -21,6 +21,7 @@ from .errors import InvalidArgumentError
 
 MIN_VERTICES = 4
 MIN_SAMPLES = 16
+BLOCK_SIZE = 64  # segments per box of the block bounding-box index
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -91,6 +92,7 @@ class Curve:
         self._bounds = None
         self._extent = None
         self._columns = None
+        self._blocks = None
 
     # -- basic accessors -------------------------------------------------
 
@@ -151,6 +153,29 @@ class Curve:
             self._columns = cols
         return self._columns
 
+    @property
+    def blocks(self):
+        """Bounding boxes of runs of ``BLOCK_SIZE`` segments, as ``(mid, half)``:
+        the box centres and half-widths, each an (n, k) array, one column per
+        block.
+
+        Block b holds vertices b B ... (b + 1) B, both ends included and capped
+        at the last vertex; the last block also holds vertex 0, so each
+        segment, the closing one included, lies in its block's box.
+        """
+        if self._blocks is None:
+            m = self.n_vertices
+            starts = np.arange(0, m, BLOCK_SIZE)
+            ends = self._points[np.minimum(starts + BLOCK_SIZE, m) % m]
+            lower = np.minimum(np.minimum.reduceat(self._points, starts), ends)
+            upper = np.maximum(np.maximum.reduceat(self._points, starts), ends)
+            mid = np.ascontiguousarray(((lower + upper) / 2.0).T)
+            half = np.ascontiguousarray(((upper - lower) / 2.0).T)
+            mid.setflags(write=False)
+            half.setflags(write=False)
+            self._blocks = (mid, half)
+        return self._blocks
+
     def __repr__(self):
         return f"Curve(m={self.n_vertices}, n={self.dimension}, length={self._total_length:.6g})"
 
@@ -171,8 +196,18 @@ class Curve:
         return start + alpha[..., None] * (end - start)
 
     def eval(self, t):
-        """Point at parameter t. Exact vertex values at vertex parameters."""
-        return self.eval_many(np.asarray([t], dtype=float))[0]
+        """Point at parameter t. Exact vertex values at vertex parameters.
+
+        The scalar form of ``eval_many``, with the same arithmetic, so both
+        give the same bits.
+        """
+        u = float(t) % 1.0
+        m = self.n_vertices
+        k = min(max(int(np.searchsorted(self._params, u, side="right")) - 1, 0), m - 1)
+        t0 = self._params[k]
+        alpha = (u - t0) / (self._params[k + 1] - t0)
+        start = self._points[k]
+        return start + alpha * (self._points[(k + 1) % m] - start)
 
     # -- derived curves --------------------------------------------------
 

@@ -27,16 +27,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curve import _golden_max, point_segment_distances, row_norms
+from .curve import BLOCK_SIZE, _golden_max, point_segment_distances, row_norms
 from .errors import (
     DegenerateConfigurationError,
+    InfeasibleShapeError,
     InvalidArgumentError,
     NoBracketError,
     NumericalDegeneracyError,
     RefineFailedError,
     SingularPathError,
 )
-from .frames import third_vertex_sphere
+from .frames import Sphere, third_vertex_sphere
 from .shape import equilateral_shape, residuals
 from .winding import PlanarPath, winding_closed
 
@@ -50,7 +51,9 @@ SINGULAR_TOL = 1e-9  # projected distance to (1, 0) at which the curve touches t
 DEDUPE_TOL = 1e-4  # parameter distance under which two found triangles are one
 BISECT_WIDTH = 1e-10  # parameter width at which bisection stops
 MAX_NEWTON_ITERS = 100
-PROJECTION_BASE = np.array([1.0, 0.0])
+PAIR_BUDGET = 2048  # (node, block | vertex | segment) pairs per pass of the winding kernel
+_SEGMENT_ENDS = np.array([[0], [1]])  # offsets of a segment's start and end vertex
+_PROJECTION_BASE = np.array([1.0, 0.0])  # the point the projected curve winds around
 
 
 def _param_distance(a, b):
@@ -191,49 +194,86 @@ def _vertex_tolerance(columns, sphere):
     return 1e-12 * max(math.hypot(rho_span, float(z.max() - z.min())), 1e-300)
 
 
-def _vertex_tolerance_bound(curve, sphere):
-    """Upper bound on ``_vertex_tolerance`` from the curve's bounding box.
+def _vertex_tolerance_bound(curve, center, radius):
+    """Upper bound on ``_vertex_tolerance`` from the curve's bounding box, for
+    each sphere (row of ``center``, entry of ``radius``).
 
     With R the distance from the center to the box's farthest corner, rho is
     at most R / r and the z-span at most 2 R / r, so the projected diameter is
     at most sqrt(5) R / r; 1 + 1e-10 covers the rounding of the exact pass.
     """
-    center = sphere.center
     lower, upper = curve.bounds
-    reach = float(np.linalg.norm(np.maximum(center - lower, upper - center)))
-    return 1e-12 * max(math.sqrt(5.0) * (1.0 + 1e-10) * reach / sphere.radius, 1e-300)
+    reach = row_norms(np.maximum(center - lower, upper - center))
+    return 1e-12 * np.maximum(math.sqrt(5.0) * (1.0 + 1e-10) * reach / radius, 1e-300)
 
 
-def _candidate_segments(curve, sphere, thr):
-    """Segments j, from vertex j to vertex j + 1 mod m, whose projection may
-    straddle z = 0 or end within ``thr`` of it.
+def _candidate_pairs(curve, center, radius, normal, thr):
+    """(node, segment) pairs, one row of ``center``, ``radius``, ``normal``
+    per node, whose segment j (vertex j to vertex j + 1 mod m) may straddle
+    z = 0 or end within ``thr[node]`` of it in the node's projection; yielded
+    a slice of blocks at a time.
 
-    One gemv, h~ = normal . x, compared with normal . center.  ``delta`` bounds
-    the rounding of both dot products and of the exact h = normal . (x - center),
-    so a segment is left out only when both ends lie beyond thr on one side in
-    the exact projection too.
+    Two passes, both on h~ = normal . x against normal . center, where
+    ``delta`` bounds the rounding of those dot products and of the exact
+    h = normal . (x - center), so a segment is left out only when both ends
+    lie beyond thr on one side in the exact projection too.  The first pass
+    tests every (node, block) pair of the curve's block index:
+    normal . x stays within |normal| . half of normal . mid on the block's
+    box, and widening by 2 delta covers the rounding of that interval, so a
+    block is dropped only when every vertex of it lies beyond the window on
+    one side.  The second takes h~ on the vertices of the surviving blocks
+    and keeps a segment unless both its ends lie beyond the window on one
+    side.  The first pass takes the nodes in chunks and the second the
+    surviving blocks in slices, so that no pass holds more than
+    ``PAIR_BUDGET`` pairs.  At least one node is needed.
     """
-    center, normal = sphere.center, sphere.normal
+    m = curve.n_vertices
+    columns = curve.columns
     lower, upper = curve.bounds
+    mid, half = curve.blocks
     # The box corner farthest from the origin bounds every |x|.
-    x_max = float(np.linalg.norm(np.maximum(np.abs(lower), np.abs(upper))))
-    delta = 4.0 * (curve.dimension + 2) * 2.0 ** -53 * (x_max + float(np.linalg.norm(center)))
-    offset = float(normal @ center)
+    x_max = float(np.linalg.norm(np.maximum(-lower, upper)))
+    delta = 4.0 * (columns.shape[0] + 2) * 2.0 ** -53 * (x_max + row_norms(center))
+    offset = (normal * center).sum(axis=1)
     # 1 + 1e-12 covers the relative rounding of thr * r and of z = h / r.
-    window = thr * sphere.radius * (1.0 + 1e-12) + delta
-    h = normal @ curve.columns
-    above = h > offset + window
-    below = h < offset - window
-    # A segment cannot lie wholly above and wholly below, so "==" means neither.
-    cand = np.flatnonzero((above[:-1] & above[1:]) == (below[:-1] & below[1:]))
-    if not ((above[-1] and above[0]) or (below[-1] and below[0])):
-        cand = np.append(cand, curve.n_vertices - 1)
-    return cand
+    window = thr * radius * (1.0 + 1e-12) + delta
+    high, low = offset + window, offset - window
+    reach = window + 2.0 * delta
+    chunk = max(1, PAIR_BUDGET // mid.shape[1])
+    nodes, blocks = [], []
+    for g0 in range(0, normal.shape[0], chunk):
+        part = normal[g0:g0 + chunk]
+        gap = np.abs(part @ mid - offset[g0:g0 + chunk, None])
+        gap -= np.abs(part) @ half
+        node, block = np.nonzero(gap <= reach[g0:g0 + chunk, None])
+        nodes.append(node + g0)
+        blocks.append(block)
+    nodes, blocks = np.concatenate(nodes), np.concatenate(blocks)
+    span = np.arange(BLOCK_SIZE + 1)
+    per_slice = max(1, PAIR_BUDGET // span.size)
+    for s0 in range(0, nodes.size, per_slice):
+        g = nodes[s0:s0 + per_slice]
+        b = blocks[s0:s0 + per_slice]
+        # Vertex m, and the padding of a short last block, is vertex 0.
+        vertex = np.minimum(b[:, None] * BLOCK_SIZE + span, m) % m
+        h = normal[g, 0, None] * columns[0][vertex]
+        for i in range(1, columns.shape[0]):
+            h += normal[g, i, None] * columns[i][vertex]
+        above = h > high[g, None]
+        below = h < low[g, None]
+        # A segment cannot lie wholly above and wholly below, so "==" means neither.
+        row, pos = np.nonzero((above[:, :-1] & above[:, 1:]) == (below[:, :-1] & below[:, 1:]))
+        seg = b[row] * BLOCK_SIZE + pos
+        # Past segment m - 1 a short last block holds only padding.
+        real = seg < m
+        yield g[row[real]], seg[real]
 
 
-def _projected_winding(curve, sphere, tol):
-    """Winding number around (1, 0) of the closed polyline ``curve`` after the
-    canonical frame and cylindrical projection, or None when it is singular.
+def _projected_windings(curve, center, radius, normal, tol):
+    """Winding numbers around (1, 0) of the closed polyline ``curve`` after
+    the canonical frame and cylindrical projection of each of G spheres (rows
+    of ``center``, ``normal``; entries of ``radius``), and a flag for each
+    sphere whose projected path is singular.
 
     The projection of a vertex x is closed-form: with v = x - center and
     h = v . normal it is (|v - h normal| / r, h / r), so no rotation is
@@ -244,53 +284,112 @@ def _projected_winding(curve, sphere, tol):
     Bound, then verify.  Only segments that straddle z = 0 or end within
     2 max(tol, vtol) of it can be singular or cross the ray; every other
     segment lies at least twice the tolerances from (1, 0), which leaves room
-    for rounding.  An O(n) bound on vtol and one gemv over the curve give a
-    superset of those segments (``_candidate_segments``), and the exact
-    projection, the segment distances and the crossings are taken on the
-    candidates alone.  The exact vtol costs a full pass, so it is computed only
-    when a candidate vertex lies within the bound of (1, 0); below ``tol``
-    the segment test has already decided, so that takes a sphere about 450
-    times smaller than the curve.  The winding is the signed count of
-    crossings of the ray from (1, 0) toward +rho, with half-open straddling
-    (z < 0 against z >= 0) so that a vertex on the ray is counted once.
+    for rounding.  An O(n) bound on vtol per sphere, one interval test of
+    every sphere against the curve's block index and a dot product on the
+    vertices of the surviving blocks give a superset of those segments
+    (``_candidate_pairs``).  The exact projection, the segment distances and
+    the crossings are taken on the flat (sphere, segment) pairs of that
+    superset, one entrywise expression for every pair, so a sphere gets the
+    same answer in a batch of any size, and are summed per sphere.  The exact
+    vtol costs a full pass, so it is computed only for a sphere with a
+    candidate vertex within the bound of (1, 0); below ``tol`` the segment
+    test has already decided, so that takes a sphere about 450 times smaller
+    than the curve.  The winding is the signed count of crossings of the ray
+    from (1, 0) toward +rho, with half-open straddling (z < 0 against z >= 0)
+    so that a vertex on the ray is counted once.
     """
-    radius = sphere.radius
-    vtol_bound = _vertex_tolerance_bound(curve, sphere)
-    cand = _candidate_segments(curve, sphere, 2.0 * max(tol, vtol_bound))
-    nxt = (cand + 1) % curve.n_vertices
-    w_sq, h = _cylinder_coords(curve.columns[:, np.concatenate([cand, nxt])], sphere)
-    ends = np.column_stack([np.sqrt(w_sq) / radius, h / radius])
-    a, b = ends[: cand.size], ends[cand.size:]
-    if np.any(point_segment_distances(PROJECTION_BASE, a, b) < tol):
-        return None
-    vertex_dist = np.hypot(a[:, 0] - 1.0, a[:, 1])
-    if np.any(vertex_dist <= vtol_bound) and np.any(
-        vertex_dist <= _vertex_tolerance(curve.columns, sphere)
-    ):
-        return None
-    crossing = (a[:, 1] < 0.0) != (b[:, 1] < 0.0)
-    a, b = a[crossing], b[crossing]
-    rho_at_zero = a[:, 0] - a[:, 1] * (b[:, 0] - a[:, 0]) / (b[:, 1] - a[:, 1])
-    signs = np.where(b[:, 1] > a[:, 1], 1, -1)
-    return int(signs[rho_at_zero > 1.0].sum())
+    count, n = normal.shape
+    m = curve.n_vertices
+    columns = curve.columns
+    vtol_bound = _vertex_tolerance_bound(curve, center, radius)
+    thr = 2.0 * np.maximum(tol, vtol_bound)
+    winding = np.zeros(count)
+    touches = np.zeros(count)
+    near_node, near_dist = [], []
+    for node, seg in _candidate_pairs(curve, center, radius, normal, thr):
+        ends = (seg + _SEGMENT_ENDS) % m  # (2, P)
+        c, nrm = center[node], normal[node]
+        v = columns[0][ends] - c[:, 0]
+        h = nrm[:, 0] * v
+        w_sq = v * v
+        for i in range(1, n):
+            v = columns[i][ends] - c[:, i]
+            h += nrm[:, i] * v
+            w_sq += v * v
+        w_sq -= h * h
+        np.maximum(w_sq, 0.0, out=w_sq)
+        r = radius[node]
+        rho, z = np.sqrt(w_sq) / r, h / r
+        start, end = np.stack((rho, z), axis=2)
+        dist = point_segment_distances(_PROJECTION_BASE, start, end)
+        touches += np.bincount(node, weights=dist < tol, minlength=count)
+        vertex_dist = np.hypot(rho[0] - 1.0, z[0])
+        near = vertex_dist <= vtol_bound[node]
+        if near.any():
+            near_node.append(node[near])
+            near_dist.append(vertex_dist[near])
+        crossing = (z[0] < 0.0) != (z[1] < 0.0)
+        (a_rho, b_rho), (a_z, b_z), node = rho[:, crossing], z[:, crossing], node[crossing]
+        rho_at_zero = a_rho - a_z * (b_rho - a_rho) / (b_z - a_z)
+        outside = rho_at_zero > 1.0
+        signs = np.where(b_z[outside] > a_z[outside], 1.0, -1.0)
+        winding += np.bincount(node[outside], weights=signs, minlength=count)
+    singular = touches > 0.0
+    if near_node:
+        near_node = np.concatenate(near_node)
+        near_dist = np.concatenate(near_dist)
+        for g in set(near_node[~singular[near_node]].tolist()):
+            sphere = Sphere(center[g], float(radius[g]), normal[g], n)
+            singular[g] = np.any(near_dist[near_node == g] <= _vertex_tolerance(columns, sphere))
+    return winding.astype(int), singular
+
+
+def _sphere_windings(curve, ts, shape):
+    """Winding samples at the sweep parameters ``ts``, all from one call of
+    the kernel; None for a node whose swept point coincides with the base."""
+    ts = np.asarray(ts, dtype=float)
+    base = curve.origin
+    points = curve.eval_many(ts)
+    d = points - base
+    # The dot product of np.linalg.norm, so that the spheres below are those
+    # of third_vertex_sphere.
+    dist = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+    live = np.flatnonzero(dist >= 1e-14 * curve.extent)
+    if live.size == 0:
+        return [None] * ts.size
+    d, dist = d[live], dist[live]
+    # third_vertex_sphere, one row per live node.
+    r1 = shape.ratio_oq * dist
+    r2 = shape.ratio_pq * dist
+    alpha = (r1 * r1 - r2 * r2 + dist * dist) / (2.0 * dist * dist)
+    rad_sq = r1 * r1 - alpha * alpha * dist * dist
+    if (rad_sq <= 0.0).any():
+        raise InfeasibleShapeError("side ratios admit no third vertex off the o-p line")
+    winding, singular = _projected_windings(
+        curve, base + alpha[:, None] * d, np.sqrt(rad_sq), d / dist[:, None], SINGULAR_TOL
+    )
+    samples = [None] * ts.size
+    for k, g in enumerate(live):
+        t = float(ts[g])
+        if singular[k]:
+            # The per-node sphere, so the touch parameter (a refinement seed)
+            # keeps its bits.
+            sphere = third_vertex_sphere(base, points[g], shape)
+            samples[g] = WindingSample(
+                t=t, winding=None, singular=True, touch_param=_nearest_param_to_sphere(curve, sphere)
+            )
+        else:
+            samples[g] = WindingSample(t=t, winding=int(winding[k]), singular=False)
+    return samples
 
 
 def sphere_winding(curve, t, shape):
-    """Winding invariant of the projected, re-framed curve at sweep parameter t."""
-    base = curve.origin
-    p = curve.eval(t)
-    if np.linalg.norm(p - base) < 1e-14 * curve.extent:
+    """Winding invariant of the projected, re-framed curve at sweep parameter
+    t: the one-node call of the sweep grid's kernel."""
+    (sample,) = _sphere_windings(curve, [t], shape)
+    if sample is None:
         raise DegenerateConfigurationError("swept point coincides with the base point")
-    sphere = third_vertex_sphere(base, p, shape)
-    w = _projected_winding(curve, sphere, SINGULAR_TOL)
-    if w is None:
-        return WindingSample(
-            t=float(t),
-            winding=None,
-            singular=True,
-            touch_param=_nearest_param_to_sphere(curve, sphere),
-        )
-    return WindingSample(t=float(t), winding=w, singular=False)
+    return sample
 
 
 def _param_at_distance(curve, target, lo, hi, samples=2048):
@@ -348,17 +447,23 @@ class InscribedTriangle:
 
 @dataclass
 class SweepResult:
+    """The sweep grid and what was found on it.  ``dropped`` holds the grid
+    parameters whose swept point coincides with the base point, where the
+    candidate sphere is undefined; they are left out of ``grid``."""
+
     grid: list
     bracket: tuple | None
     seeds: list
     t_far: float
     t_near: float
     epsilon: float
+    dropped: list
 
 
 def sweep_similar(curve, shape, grid_size=256, epsilon=FALLBACK_EPSILON):
     """Evaluate the invariant on a grid from the near-base parameter to the
-    farthest parameter and bisect every change to a certified bracket."""
+    farthest parameter, all nodes in one call of the winding kernel, and
+    bisect every change to a certified bracket."""
     if grid_size < 2:
         raise InvalidArgumentError("grid size must be at least 2")
     eps = float(epsilon)
@@ -370,6 +475,9 @@ def sweep_similar(curve, shape, grid_size=256, epsilon=FALLBACK_EPSILON):
             f"near-base parameter {t_near:.6g} does not precede the farthest parameter {t_far:.6g}"
         )
     ts = np.linspace(t_near, t_far, grid_size)
+    samples = _sphere_windings(curve, ts, shape)
+    grid = [s for s in samples if s is not None]
+    dropped = [float(t) for t, s in zip(ts, samples) if s is None]
 
     def sample(t):
         try:
@@ -377,7 +485,6 @@ def sweep_similar(curve, shape, grid_size=256, epsilon=FALLBACK_EPSILON):
         except DegenerateConfigurationError:
             return None
 
-    grid = [s for s in map(sample, ts) if s is not None]
     if len(grid) < 3:
         # Two samples sit on the provable anchor values; a change between them
         # cannot be separated from the anchors, so treat it as unresolved.
@@ -395,24 +502,25 @@ def sweep_similar(curve, shape, grid_size=256, epsilon=FALLBACK_EPSILON):
         if a.winding == b.winding:
             continue
         lo, hi, w_lo = a.t, b.t, a.winding
-        singular_mid = None
+        ws = a
         while hi - lo > BISECT_WIDTH:
             mid = 0.5 * (lo + hi)
             ws = sample(mid)
             if ws is None or ws.singular:
-                singular_mid = ws
                 break
             if ws.winding == w_lo:
                 lo = mid
             else:
                 hi = mid
-        if singular_mid is not None:
-            seeds.append((singular_mid.t, singular_mid.touch_param))
-            if bracket is None:
-                bracket = (lo, hi)
+        if ws is None:
+            # The swept point is back at the base: there is no sphere at mid,
+            # so the bisection cannot go on and certifies nothing.
             continue
         if bracket is None:
             bracket = (lo, hi)
+        if ws.singular:
+            seeds.append((ws.t, ws.touch_param))
+            continue
         t0 = 0.5 * (lo + hi)
         sphere = third_vertex_sphere(base, curve.eval(t0), shape)
         seeds.append((t0, _nearest_param_to_sphere(curve, sphere)))
@@ -428,6 +536,7 @@ def sweep_similar(curve, shape, grid_size=256, epsilon=FALLBACK_EPSILON):
         t_far=t_far,
         t_near=t_near,
         epsilon=eps,
+        dropped=dropped,
     )
 
 

@@ -31,6 +31,47 @@ class TestEval:
         assert unit_vertex_equal(circle4096.eval(0.0), circle4096.points[0])
 
 
+parameters = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 1e-300, -1e-300]),
+    st.tuples(st.integers(0, 10**6), st.integers(-2, 2), st.sampled_from(["at", "below", "above"])),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(4, 200), n=st.sampled_from([2, 3, 6]), t=parameters)
+def test_scalar_eval_matches_eval_many_bitwise(seed, m, n, t):
+    """``eval`` is the scalar form of ``eval_many``: the same bits at random
+    parameters, at vertex parameters and next to them, shifted by whole
+    periods (negative ones too), and at 0.0, -0.0 and 1.0."""
+    curve = Curve(np.random.default_rng(seed).standard_normal((m, n)))
+    if isinstance(t, tuple):
+        k, period, side = t
+        t = float(curve.params[k % (m + 1)]) + period
+        t = {"at": t, "below": math.nextafter(t, -math.inf), "above": math.nextafter(t, math.inf)}[side]
+    assert np.array_equal(curve.eval(t), curve.eval_many(np.array([t]))[0])
+    assert np.array_equal(curve.eval(np.float64(t)), curve.eval_many([t])[0])
+
+
+@pytest.mark.parametrize("m", [16, 64, 65, 1000, 4097])
+def test_blocks_hold_their_segments(m):
+    """Block b's box holds vertices b B ... (b + 1) B, and the last block's
+    box holds vertex 0, so every segment, the closing one included, lies in
+    the box of the block its start vertex belongs to."""
+    from triscribe.curve import BLOCK_SIZE
+
+    curve = make_curve("trefoil", samples=m)
+    mid, half = curve.blocks
+    assert mid.shape == half.shape == (3, -(-m // BLOCK_SIZE))
+    pts = curve.points
+    slack = 2.0 ** -50 * np.abs(pts).max()  # centre and half-width are rounded
+    for j in range(m):
+        b = j // BLOCK_SIZE
+        for x in (pts[j], pts[(j + 1) % m]):
+            assert np.all(np.abs(x - mid[:, b]) <= half[:, b] + slack)
+    assert curve.blocks is curve.blocks
+
+
 def unit_vertex_equal(a, b):
     return np.array_equal(np.asarray(a), np.asarray(b))
 

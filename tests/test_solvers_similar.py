@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from triscribe import (
     winding_closed,
 )
 from triscribe import solvers
-from triscribe.curve import GENERATORS
+from triscribe.curve import BLOCK_SIZE, GENERATORS
 from triscribe.frames import Sphere
 from triscribe.oracle import winding_by_crossing_count
 from triscribe.solvers import FALLBACK_EPSILON, SINGULAR_TOL
@@ -133,6 +134,10 @@ def rotated_reference_winding(curve, t, shape, tol=1e-9):
     frame, project, then ``passes_through`` / ``winding_closed``.  None means
     singular."""
     sphere = third_vertex_sphere(curve.origin, curve.eval(t), shape)
+    return sphere_reference_winding(curve, sphere, tol)
+
+
+def sphere_reference_winding(curve, sphere, tol=1e-9):
     projected = cylindrical_project(apply_frame(canonical_frame(sphere), curve.points))
     path = PlanarPath(projected, closed=True)
     if passes_through(path, PROJECTION_BASE, tol) is not None:
@@ -268,33 +273,219 @@ CANDIDATE_FAMILIES = [(name, {}) for name in sorted(GENERATORS) if name != "tilt
 ]
 
 
+def random_spheres(curve, rng, count):
+    """Spheres from tiny to larger than the curve, as (center, radius, normal)
+    rows; half are placed so that a vertex has z = 0 or z = 1.5 tol, inside
+    2 tol only."""
+    lower, upper = curve.bounds
+    n = curve.dimension
+    normal = rng.standard_normal((count, n))
+    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+    radius = curve.extent * 10.0 ** rng.uniform(-5.0, 1.0, count)
+    center = lower + (upper - lower) * rng.uniform(-0.5, 1.5, (count, n))
+    for k in range(count):
+        if k % 4 < 2:
+            vertex = curve.points[rng.integers(curve.n_vertices)]
+            center[k] = vertex + 1.5 * (k % 4) * SINGULAR_TOL * radius[k] * normal[k]
+    return center, radius, normal
+
+
+def candidate_pairs(curve, center, radius, normal):
+    """The kernel's candidate (node, segment) pairs, as a set, at its threshold."""
+    bound = solvers._vertex_tolerance_bound(curve, center, radius)
+    thr = 2.0 * np.maximum(SINGULAR_TOL, bound)
+    found = set()
+    for node, seg in solvers._candidate_pairs(curve, center, radius, normal, thr):
+        found.update(zip(node.tolist(), seg.tolist()))
+    return found
+
+
+def assert_candidates_contain_full_pass(curve, center, radius, normal):
+    found = candidate_pairs(curve, center, radius, normal)
+    bound = solvers._vertex_tolerance_bound(curve, center, radius)
+    for k in range(len(radius)):
+        sphere = Sphere(center[k], radius[k], normal[k], curve.dimension)
+        assert bound[k] >= solvers._vertex_tolerance(curve.columns, sphere)
+        for j in full_pass_candidates(curve, sphere, SINGULAR_TOL):
+            assert (k, int(j)) in found, (k, j)
+
+
 @pytest.mark.parametrize("scale,shift", [(1e-9, 0.0), (1.0, 0.0), (1e9, 0.0), (1.0, 1e7)])
 @pytest.mark.parametrize("name,kwargs", CANDIDATE_FAMILIES)
 def test_candidate_bound_contains_full_pass_candidates(name, kwargs, scale, shift):
     """Random spheres, from tiny to larger than the curve, some placed so that
-    a vertex has z = 0 or z = 1.5 tol: the one-gemv candidate set holds every
+    a vertex has z = 0 or z = 1.5 tol: the kernel's candidate set holds every
     segment the full pass would examine.  Far from the origin (``shift``) the
     rounding of the dot products can exceed 2 tol r, and only the margin
     ``delta`` keeps the straddling segments."""
     curve = Curve(make_curve(name, samples=1024, **kwargs).points * scale + shift)
     rng = np.random.default_rng(len(name) + curve.dimension)
-    lower, upper = curve.bounds
-    n = curve.dimension
-    for k in range(40):
-        normal = rng.standard_normal(n)
-        normal /= np.linalg.norm(normal)
-        radius = curve.extent * 10.0 ** rng.uniform(-5.0, 1.0)
-        if k % 4 < 2:
-            # z of the vertex is 0, or 1.5 tol: inside 2 tol only.
-            vertex = curve.points[rng.integers(curve.n_vertices)]
-            center = vertex + 1.5 * (k % 4) * SINGULAR_TOL * radius * normal
-        else:
-            center = lower + (upper - lower) * rng.uniform(-0.5, 1.5, n)
-        sphere = Sphere(center, radius, normal, n)
-        bound = solvers._vertex_tolerance_bound(curve, sphere)
-        assert bound >= solvers._vertex_tolerance(curve.columns, sphere)
-        found = solvers._candidate_segments(curve, sphere, 2.0 * max(SINGULAR_TOL, bound))
-        assert np.isin(full_pass_candidates(curve, sphere, SINGULAR_TOL), found).all()
+    assert_candidates_contain_full_pass(curve, *random_spheres(curve, rng, 40))
+
+
+BLOCK_INDEX_CURVES = [
+    ("fourier", {"seed": 2}),  # n = 2
+    ("trefoil", {}),  # n = 3
+    ("tilted_circle_nd", {"n": 6}),
+]
+
+
+@pytest.mark.parametrize("budget", [solvers.PAIR_BUDGET, 70])
+@pytest.mark.parametrize("scale,shift", [(1e-9, 0.0), (1.0, 0.0), (1e9, 0.0), (1.0, 1e7)])
+@pytest.mark.parametrize("samples", [1000, 4097])
+@pytest.mark.parametrize("name,kwargs", BLOCK_INDEX_CURVES)
+def test_block_index_keeps_full_pass_candidates(monkeypatch, name, kwargs, samples, scale, shift, budget):
+    """The block test drops no segment the full pass would examine, with a
+    short last block (m not a multiple of the block size) and with spheres
+    through the closing segment, in one batch and, with a small budget, in
+    chunks of one to four nodes and slices of one block."""
+    monkeypatch.setattr(solvers, "PAIR_BUDGET", budget)
+    curve = Curve(make_curve(name, samples=samples, **kwargs).points * scale + shift)
+    assert curve.n_vertices % BLOCK_SIZE != 0
+    rng = np.random.default_rng(samples + curve.dimension)
+    center, radius, normal = random_spheres(curve, rng, 24)
+    # Planes through the closing segment, at its ends and inside it.
+    last, first = curve.points[-1], curve.points[0]
+    for k, w in enumerate((0.0, 0.5, 1.0)):
+        center[k] = last + w * (first - last)
+    assert_candidates_contain_full_pass(curve, center, radius, normal)
+    assert (0, curve.n_vertices - 1) in candidate_pairs(curve, center, radius, normal)
+
+
+@pytest.mark.parametrize("samples", [1000, 4097])
+@pytest.mark.parametrize("name,kwargs", BLOCK_INDEX_CURVES)
+def test_kernel_with_short_last_block_matches_reference(name, kwargs, samples):
+    """Spheres whose hyperplane passes through vertex 0, with that vertex
+    projected to rho = 2: the padding of the short last block repeats vertex
+    0, and the segments it stands for must not be counted again.  Windings
+    and singular flags agree with the rotated reference."""
+    curve = make_curve(name, samples=samples, **kwargs)
+    rng = np.random.default_rng(samples)
+    center, radius, normal = random_spheres(curve, rng, 16)
+    for k in range(8):
+        w = rng.standard_normal(curve.dimension)
+        w -= (w @ normal[k]) * normal[k]
+        center[k] = curve.points[0] + 2.0 * radius[k] * w / np.linalg.norm(w)
+    winding, singular = solvers._projected_windings(curve, center, radius, normal, SINGULAR_TOL)
+    for k in range(len(radius)):
+        expected = sphere_reference_winding(curve, Sphere(center[k], radius[k], normal[k], curve.dimension))
+        assert singular[k] == (expected is None), k
+        if expected is not None:
+            assert winding[k] == expected, k
+
+
+GRID_CASES = [
+    ("circle", {}, (60, 60, 60)),
+    ("ellipse", {"a": 2, "b": 1}, (90, 45, 45)),
+    ("tilted_circle_nd", {"n": 3}, (50, 60, 70)),
+    ("tilted_circle_nd", {"n": 6}, (60, 60, 60)),
+    ("trefoil", {}, (50, 60, 70)),
+    ("polygon", {"sides": 5}, (40, 70, 70)),
+    ("corner_wedge", {}, (90, 45, 45)),  # a continuum: every node singular
+    ("corner_wedge", {"samples": 4096}, (90, 45, 45)),
+    ("u_turn", {}, (60, 60, 60)),
+    ("fourier", {"seed": 0}, (30, 75, 75)),
+    ("fourier", {"seed": 3}, (120, 30, 30)),
+]
+
+
+@pytest.mark.parametrize("chunk_nodes", [None, 128, 1])
+@pytest.mark.parametrize("grid_size", [2, 3, 257])
+@pytest.mark.parametrize("name,kwargs,angles", GRID_CASES)
+def test_batched_grid_matches_per_node(monkeypatch, name, kwargs, angles, grid_size, chunk_nodes):
+    """One kernel call over the sweep grid gives what ``sphere_winding`` gives
+    node by node, to the bit: with the whole grid in one chunk, in chunks of
+    128 nodes (257 = 2 * 128 + 1) and one node at a time."""
+    curve = make_curve(name, **{"samples": 1024, **kwargs})
+    if chunk_nodes is not None:
+        monkeypatch.setattr(solvers, "PAIR_BUDGET", chunk_nodes * curve.blocks[0].shape[1])
+    shape = shape_from_degrees(*angles)
+    t_far = curve.farthest_param(curve.origin)
+    ts = np.linspace(near_base_param(curve, shape, FALLBACK_EPSILON), t_far, grid_size)
+    batched = solvers._sphere_windings(curve, ts, shape)
+    assert [s.t for s in batched] == ts.tolist()
+    assert batched == [sphere_winding(curve, t, shape) for t in ts]
+    if name == "corner_wedge":
+        assert all(s.singular for s in batched[1:-1])
+
+
+@pytest.mark.parametrize("name,kwargs,samples,angles", [
+    ("corner_wedge", {}, 4096, (90, 45, 45)),
+    ("tilted_circle_nd", {"n": 6}, 65536, (60, 60, 60)),
+])
+def test_grid_memory_is_bounded(monkeypatch, name, kwargs, samples, angles):
+    """The temporaries of the sweep's grid call stay under a fixed cap: on the
+    corner_wedge continuum a quarter of the curve is a candidate at every
+    node, and the n = 6 curve has 65536 vertices in six coordinates.  The
+    curve's cached arrays are built first; the one-node calls of the
+    bisection are left out, because a singular node takes a full pass over
+    the curve for its touch parameter."""
+    curve = make_curve(name, samples=samples, **kwargs)
+    curve.columns, curve.blocks
+    kernel = solvers._sphere_windings
+    peaks = []
+
+    def measured(curve, ts, shape):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        samples = kernel(curve, ts, shape)
+        if len(ts) > 1:
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        return samples
+
+    monkeypatch.setattr(solvers, "_sphere_windings", measured)
+    tracemalloc.start()
+    try:
+        result = sweep_similar(curve, shape_from_degrees(*angles))
+    finally:
+        tracemalloc.stop()
+    assert len(result.grid) == 256 and len(peaks) == 1
+    assert peaks[0] < 2 * 2**20
+
+
+FIGURE_EIGHT = Curve([
+    (0, 0), (1, 0), (1, 1), (0, 1),  # out and back to the base
+    (0, 0), (-2, 0), (-2, -2), (0, -2),  # (-2, -2) is farthest
+])
+REVISIT = float(FIGURE_EIGHT.params[4])
+
+
+class TestDropped:
+    def test_revisit_of_the_base_at_a_node(self):
+        """The curve comes back to the base at a vertex half way to the
+        farthest vertex.  That makes the clear radius zero, so the grid starts
+        at the base itself, and its middle node lands on the revisiting
+        vertex: neither has a candidate sphere, and both are listed."""
+        figure_eight, revisit = FIGURE_EIGHT, REVISIT
+        assert figure_eight.farthest_param(figure_eight.origin) == 2.0 * revisit
+        result = sweep_similar(figure_eight, RIGHT_ISOCELES, grid_size=5)
+        ts = np.linspace(result.t_near, result.t_far, 5)
+        assert ts[2] == revisit
+        assert result.dropped == [ts[0], ts[2]]
+        assert [s.t for s in result.grid] == [ts[1], ts[3], ts[4]]
+
+    def test_none_dropped_on_a_simple_curve(self, circle4096):
+        assert sweep_similar(circle4096, EQ, grid_size=64, epsilon=0.2).dropped == []
+
+    @pytest.mark.parametrize("t", [0.0, REVISIT], ids=["start", "revisit"])
+    def test_one_node_call_at_the_base_raises(self, t):
+        with pytest.raises(DegenerateConfigurationError):
+            sphere_winding(FIGURE_EIGHT, t, EQ)
+
+    def test_bisection_midpoint_on_a_revisit_of_the_base(self):
+        """The invariant changes across the revisit (the swept point passes
+        through the base, no sphere crosses the curve), and the bisection's
+        first midpoint is the revisiting vertex.  That pair yields neither a
+        bracket nor a seed; the change further on is still bracketed."""
+        result = sweep_similar(FIGURE_EIGHT, EQ, grid_size=5)
+        ts = np.linspace(result.t_near, result.t_far, 5)
+        below, above, last = result.grid
+        assert (below.t, above.t, last.t) == (ts[1], ts[3], ts[4])
+        assert below.winding != above.winding
+        assert 0.5 * (below.t + above.t) == REVISIT
+        lo, hi = result.bracket
+        assert above.t < lo < hi < last.t
+        assert [t for t, _ in result.seeds] == [0.5 * (lo + hi)]
 
 
 class TestSweep:

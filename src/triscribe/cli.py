@@ -5,12 +5,14 @@ check-monotone, sweep, plot.  Reports are JSON on stdout (or --out); curves
 come from JSON files or generator shorthand like ``gen:ellipse,a=2,b=1``.
 
 Exit codes: 0 success (solve commands require at least one triangle),
-2 clean no-result, 1 error, 64 usage error, 66 unreadable input file.
+2 clean no-result, 1 error (also an output file that cannot be written),
+64 usage error, 66 unreadable input file.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -25,6 +27,8 @@ from .frames import cylindrical_project
 from .shape import shape_from_degrees
 from .solvers import (
     EPSILON_LADDER,
+    AngleConditionReport,
+    InscribedTriangle,
     check_strong_monotone,
     chord_angle_bounds,
     completed_report,
@@ -44,6 +48,10 @@ EXIT_NO_INPUT = 66
 
 class CLIUsageError(Exception):
     pass
+
+
+class _InputError(Exception):
+    """The --curve file cannot be read or parsed."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,6 +81,18 @@ _positive = _checked(float, lambda v: 0.0 < v < math.inf, "positive and finite")
 _window = _checked(float, lambda v: 0.0 < v < 0.5, "in (0, 0.5)")
 
 
+def _ratio_spec(text):
+    """argparse type of --plot-ratio-path: ``<s>,<file>`` with s in (0, 1)."""
+    s_text, _, path = text.partition(",")
+    try:
+        s = float(s_text)
+    except ValueError:
+        s = math.nan
+    if not (0.0 < s < 1.0 and path):
+        raise argparse.ArgumentTypeError(f"must be <s>,<file> with s in (0, 1), got {text}")
+    return s, path
+
+
 def _parse_value(text):
     try:
         return int(text)
@@ -98,17 +118,21 @@ def parse_curve_arg(arg):
                 raise CLIUsageError(f"bad generator parameter {item!r}; expected key=value")
             key, value = item.split("=", 1)
             params[key] = _parse_value(value)
-        samples = int(params.pop("samples", 4096))
+        samples = params.pop("samples", 4096)
+        if isinstance(samples, str) or (isinstance(samples, float) and not samples.is_integer()):
+            raise CLIUsageError(f"generator parameter samples must be an integer, got {samples}")
         try:
-            return make_curve(name, samples=samples, **params)
+            return make_curve(name, samples=int(samples), **params)
         except InvalidArgumentError as exc:
             raise CLIUsageError(str(exc)) from exc
     try:
         return load_curve(arg)
+    except TriscribeError:
+        raise
     except OSError as exc:
-        raise FileNotFoundError(str(exc)) from exc
-    except json.JSONDecodeError as exc:
-        raise FileNotFoundError(f"cannot parse curve file {arg!r}: {exc}") from exc
+        raise _InputError(str(exc)) from exc
+    except (ValueError, TypeError) as exc:  # not JSON, or JSON of the wrong shape
+        raise _InputError(f"cannot parse curve file {arg!r}: {exc}") from exc
 
 
 def parse_angles(text):
@@ -122,32 +146,13 @@ def parse_angles(text):
     return shape_from_degrees(*degs)
 
 
-def _point_list(p):
-    return [float(x) for x in np.asarray(p)]
-
-
-def _triangle_dict(tri):
-    return {
-        "t_p": tri.t_p,
-        "t_q": tri.t_q,
-        "point_o": _point_list(tri.point_o),
-        "point_p": _point_list(tri.point_p),
-        "point_q": _point_list(tri.point_q),
-        "residual_oq": tri.residual_oq,
-        "residual_pq": tri.residual_pq,
-    }
-
-
-def _hypothesis_dict(report):
-    if report is None:
-        return None
-    return {
-        "delta": report.delta,
-        "sup_outgoing": report.sup_outgoing,
-        "inf_straddling": report.inf_straddling,
-        "vertex_angle": report.vertex_angle,
-        "satisfied": report.satisfied,
-    }
+def _json_default(obj):
+    """Write the solver dataclasses field by field and arrays as lists."""
+    if isinstance(obj, (InscribedTriangle, AngleConditionReport)):
+        return vars(obj)
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _shape_dict(shape):
@@ -163,31 +168,23 @@ def _shape_dict(shape):
     }
 
 
-def _sweep_dict(sweep, limit=None):
-    grid = [[s.t, s.winding, s.status] for s in sweep.grid]
-    if limit is not None:
-        grid = grid[:limit]
+def _windings(grid):
+    return [[s.t, s.winding, s.status] for s in grid]
+
+
+def _sweep_dict(sweep):
     return {
         "grid_size": len(sweep.grid),
         "t_near": sweep.t_near,
         "t_far": sweep.t_far,
         "epsilon": sweep.epsilon,
-        "bracket": list(sweep.bracket) if sweep.bracket else None,
-        "windings": grid,
-    }
-
-
-def _input_dict(args, curve):
-    return {
-        "source": args.curve,
-        "dimension": curve.dimension,
-        "vertices": curve.n_vertices,
-        "base_param": args.base,
+        "bracket": sweep.bracket,
+        "windings": _windings(sweep.grid),
     }
 
 
 def _emit(report, args):
-    text = json.dumps(report, indent=2)
+    text = json.dumps(report, indent=2, default=_json_default)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -195,79 +192,52 @@ def _emit(report, args):
         print(text)
 
 
-def _maybe_plot(args, curve, triangles):
-    if not getattr(args, "plot_svg", None):
-        return
-    if curve.dimension != 2:
-        raise InvalidArgumentError(
-            "SVG plots need a 2-D curve; use the plot subcommand with --project"
+def _plot(args, curve, triangles):
+    """Write the SVGs asked for.  ``run`` has already refused --plot-svg on a
+    curve that is not 2-D, unless ``plot --project`` asked for its projection."""
+    if args.plot_svg:
+        points, base = curve.points, curve.origin
+        if curve.dimension != 2:
+            points, base = cylindrical_project(points), cylindrical_project(base)
+        doc = render_svg(
+            curve_points=points,
+            base_point=base,
+            triangles=[np.vstack([t.point_o, t.point_p, t.point_q]) for t in triangles],
         )
-    doc = render_svg(
-        curve_points=curve.points,
-        base_point=curve.origin,
-        triangles=[np.vstack([t.point_o, t.point_p, t.point_q]) for t in triangles],
-    )
-    write_svg(args.plot_svg, doc)
-
-
-def _maybe_plot_ratio(args, curve):
-    spec = getattr(args, "plot_ratio_path", None)
-    if not spec:
-        return
-    try:
-        s_text, path_out = spec.split(",", 1)
-        s = float(s_text)
-    except ValueError as exc:
-        raise CLIUsageError("--plot-ratio-path expects <s>,<file>") from exc
-    path = ratio_path(curve, s)
-    doc = render_svg(
-        curve_points=None,
-        path_points=path.points,
-        markers=[path.points[0], path.points[-1]],
-    )
-    write_svg(path_out, doc)
+        write_svg(args.plot_svg, doc)
+    if args.plot_ratio_path:
+        s, path_out = args.plot_ratio_path
+        path = ratio_path(curve, s)
+        doc = render_svg(path_points=path.points, markers=[path.points[0], path.points[-1]])
+        write_svg(path_out, doc)
 
 
 def _options(args):
     """Solver keyword arguments for the --grid and --tol flags that were given."""
-    given = {"grid_size": getattr(args, "grid", None), "residual_tol": getattr(args, "tol", None)}
+    given = {"grid_size": args.grid, "residual_tol": args.tol}
     return {key: value for key, value in given.items() if value is not None}
 
 
-def _cmd_solve_similar(args):
-    curve = parse_curve_arg(args.curve)
-    shape = parse_angles(args.angles)
-    started = time.perf_counter()
-    outcome = solve_similar(curve, shape, base_param=args.base, **_options(args))
-    elapsed = time.perf_counter() - started
-    work = curve.with_base_param(args.base)
-    report = {
-        "command": "solve-similar",
-        "input": _input_dict(args, curve),
-        "shape": _shape_dict(shape),
-        "hypothesis": _hypothesis_dict(outcome.hypothesis),
-        "triangles": [_triangle_dict(t) for t in outcome.triangles],
+# Each subcommand takes the parsed flags, the curve rebased to --base and the
+# --angles shape, and returns its report body (None: no report) and its
+# triangles (None: the command does not solve, is not timed and always exits 0).
+
+
+def _solve_similar(args, curve, shape):
+    outcome = solve_similar(curve, shape, **_options(args))
+    body = {
+        "hypothesis": outcome.hypothesis,
+        "triangles": outcome.triangles,
         "sweep": _sweep_dict(outcome.sweep),
         "warnings": outcome.warnings,
     }
-    if not args.no_timing:
-        report["timing"] = {"seconds": elapsed}
-    _emit(report, args)
-    _maybe_plot(args, work, outcome.triangles)
-    _maybe_plot_ratio(args, work)
-    return EXIT_OK if outcome.triangles else EXIT_NO_RESULT
+    return body, outcome.triangles
 
 
-def _cmd_solve_equilateral(args):
-    curve = parse_curve_arg(args.curve)
-    started = time.perf_counter()
-    outcome = solve_equilateral(curve, base_param=args.base, **_options(args))
-    elapsed = time.perf_counter() - started
-    work = curve.with_base_param(args.base)
-    triangles = [outcome.triangle] if outcome.triangle else []
-    report = {
-        "command": "solve-equilateral",
-        "input": _input_dict(args, curve),
+def _solve_equilateral(args, curve, shape):
+    outcome = solve_equilateral(curve, **_options(args))
+    triangles = [outcome.triangle]
+    body = {
         "monotone": {
             "epsilon": outcome.epsilon,
             "strongly_monotone": outcome.strongly_monotone,
@@ -275,101 +245,51 @@ def _cmd_solve_equilateral(args):
             "s_far": outcome.s_far,
             "s_near": outcome.s_near,
         },
-        "triangles": [_triangle_dict(t) for t in triangles],
+        "triangles": triangles,
         "warnings": outcome.warnings,
     }
-    if not args.no_timing:
-        report["timing"] = {"seconds": elapsed}
-    _emit(report, args)
-    _maybe_plot(args, work, triangles)
-    _maybe_plot_ratio(args, work)
-    return EXIT_OK if triangles else EXIT_NO_RESULT
+    return body, triangles
 
 
-def _cmd_check_hypothesis(args):
-    curve = parse_curve_arg(args.curve).with_base_param(args.base)
-    shape = parse_angles(args.angles)
-    ladder = [args.delta] if args.delta is not None else list(EPSILON_LADDER)
-    reports = []
-    chosen = None
-    for delta in ladder:
-        rep = completed_report(chord_angle_bounds(curve, delta, args.samples), shape.vertex_angle)
-        reports.append(_hypothesis_dict(rep))
-        if rep.satisfied and chosen is None:
-            chosen = _hypothesis_dict(rep)
-    report = {
-        "command": "check-hypothesis",
-        "input": _input_dict(args, curve),
-        "shape": _shape_dict(shape),
-        "hypothesis": chosen if chosen is not None else reports[-1],
-        "ladder": reports,
-        "satisfied": chosen is not None,
-    }
-    _emit(report, args)
-    return EXIT_OK
+def _check_hypothesis(args, curve, shape):
+    ladder = EPSILON_LADDER if args.delta is None else [args.delta]
+    reports = [
+        completed_report(chord_angle_bounds(curve, delta, args.samples), shape.vertex_angle)
+        for delta in ladder
+    ]
+    chosen = next((rep for rep in reports if rep.satisfied), reports[-1])
+    return {"hypothesis": chosen, "ladder": reports, "satisfied": chosen.satisfied}, None
 
 
-def _cmd_check_monotone(args):
-    curve = parse_curve_arg(args.curve).with_base_param(args.base)
-    ladder = [args.epsilon] if args.epsilon is not None else list(EPSILON_LADDER)
-    scanned = []
-    chosen = None
-    for eps in ladder:
-        ok = check_strong_monotone(curve, eps, args.samples)
-        scanned.append({"epsilon": eps, "strongly_monotone": ok})
-        if ok and chosen is None:
-            chosen = eps
-    report = {
-        "command": "check-monotone",
-        "input": _input_dict(args, curve),
-        "ladder": scanned,
-        "strongly_monotone": chosen is not None,
-        "epsilon": chosen,
-    }
-    _emit(report, args)
-    return EXIT_OK
+def _check_monotone(args, curve, shape):
+    ladder = EPSILON_LADDER if args.epsilon is None else [args.epsilon]
+    scanned = [
+        {"epsilon": eps, "strongly_monotone": check_strong_monotone(curve, eps, args.samples)}
+        for eps in ladder
+    ]
+    chosen = next((row["epsilon"] for row in scanned if row["strongly_monotone"]), None)
+    return {"ladder": scanned, "strongly_monotone": chosen is not None, "epsilon": chosen}, None
 
 
-def _cmd_sweep(args):
-    curve = parse_curve_arg(args.curve).with_base_param(args.base)
-    shape = parse_angles(args.angles)
+def _sweep(args, curve, shape):
+    # sweep_similar raises NoBracketError rather than return without seeds.
     result = sweep_similar(curve, shape, **_options(args))
-    report = {
-        "command": "sweep",
-        "input": _input_dict(args, curve),
-        "shape": _shape_dict(shape),
-        "sweep": _sweep_dict(result),
-        "seeds": [[t, s] for t, s in result.seeds],
-    }
-    _emit(report, args)
-    return EXIT_OK if result.bracket or result.seeds else EXIT_NO_RESULT
+    return {"sweep": _sweep_dict(result), "seeds": result.seeds}, None
 
 
-def _cmd_plot(args):
-    curve = parse_curve_arg(args.curve).with_base_param(args.base)
-    wrote = False
-    if args.plot_svg:
-        pts = curve.points
-        base = curve.origin
-        if curve.dimension != 2:
-            if not args.project:
-                raise InvalidArgumentError(
-                    "curve is not 2-D; pass --project to plot its cylindrical projection"
-                )
-            pts = cylindrical_project(pts)
-            base = cylindrical_project(base)
-        doc = render_svg(curve_points=pts, base_point=base)
-        write_svg(args.plot_svg, doc)
-        wrote = True
-    _maybe_plot_ratio(args, curve)
-    if not wrote and not args.plot_ratio_path:
+def _plot_only(args, curve, shape):
+    if not (args.plot_svg or args.plot_ratio_path):
         raise CLIUsageError("plot needs --plot-svg and/or --plot-ratio-path")
-    return EXIT_OK
+    return None, None
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; callers must not change it."""
     parser = _Parser(prog="triscribe", description=__doc__)
     parser.add_argument("--version", action="version", version=f"triscribe {__version__}")
+    parser.set_defaults(angles=None, grid=None, tol=None, plot_svg=None, plot_ratio_path=None,
+                        project=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, angles=False):
@@ -385,60 +305,93 @@ def build_parser():
     p.add_argument("--grid", type=_at_least(2), help="sweep grid size (default 256)")
     p.add_argument("--tol", type=_positive, help="residual tolerance (default 1e-9)")
     p.add_argument("--plot-svg", help="write an SVG of the curve and found triangles")
-    p.add_argument("--plot-ratio-path", help="<s>,<file>: also plot the ratio path at s")
-    p.set_defaults(fn=_cmd_solve_similar)
+    p.add_argument("--plot-ratio-path", type=_ratio_spec,
+                   help="<s>,<file>: also plot the ratio path at s")
+    p.set_defaults(fn=_solve_similar)
 
     p = sub.add_parser("solve-equilateral", help="inscribe an equilateral triangle at the base")
     common(p)
     p.add_argument("--tol", type=_positive, help="residual tolerance (default 1e-9)")
     p.add_argument("--plot-svg")
-    p.add_argument("--plot-ratio-path")
-    p.set_defaults(fn=_cmd_solve_equilateral)
+    p.add_argument("--plot-ratio-path", type=_ratio_spec)
+    p.set_defaults(fn=_solve_equilateral)
 
     p = sub.add_parser("check-hypothesis", help="report the chord-angle condition")
     common(p, angles=True)
     p.add_argument("--delta", type=_window, help="window half-width (default: ladder)")
     p.add_argument("--samples", type=_at_least(8), default=64, help="grid nodes per axis")
-    p.set_defaults(fn=_cmd_check_hypothesis)
+    p.set_defaults(fn=_check_hypothesis)
 
     p = sub.add_parser("check-monotone", help="report strong monotonicity at the base")
     common(p)
     p.add_argument("--epsilon", type=_window, help="window half-width (default: ladder)")
     p.add_argument("--samples", type=_at_least(4), default=32, help="probe points")
-    p.set_defaults(fn=_cmd_check_monotone)
+    p.set_defaults(fn=_check_monotone)
 
     p = sub.add_parser("sweep", help="run the invariant sweep without refinement")
     common(p, angles=True)
     p.add_argument("--grid", type=_at_least(2), help="sweep grid size (default 256)")
-    p.set_defaults(fn=_cmd_sweep)
+    p.set_defaults(fn=_sweep)
 
     p = sub.add_parser("plot", help="emit SVG plots without solving")
     common(p)
     p.add_argument("--plot-svg", help="write an SVG of the curve")
-    p.add_argument("--plot-ratio-path", help="<s>,<file>: plot the ratio path at s")
+    p.add_argument("--plot-ratio-path", type=_ratio_spec,
+                   help="<s>,<file>: plot the ratio path at s")
     p.add_argument("--project", action="store_true",
                    help="plot the cylindrical projection of a higher-dimensional curve")
-    p.set_defaults(fn=_cmd_plot)
+    p.set_defaults(fn=_plot_only)
     return parser
 
 
 def run(argv):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.fn(args)
+        args = build_parser().parse_args(argv)
+        curve = parse_curve_arg(args.curve)
+        shape = parse_angles(args.angles) if args.angles is not None else None
+        work = curve.with_base_param(args.base)
+        if args.plot_svg and curve.dimension != 2 and not args.project:
+            raise InvalidArgumentError(
+                "curve is not 2-D; pass --project to plot its cylindrical projection"
+                if args.command == "plot"
+                else "SVG plots need a 2-D curve; use the plot subcommand with --project"
+            )
+        started = time.perf_counter()
+        body, triangles = args.fn(args, work, shape)
+        elapsed = time.perf_counter() - started
+        if body is not None:
+            report = {
+                "command": args.command,
+                "input": {
+                    "source": args.curve,
+                    "dimension": curve.dimension,
+                    "vertices": curve.n_vertices,
+                    "base_param": args.base,
+                },
+            }
+            if shape is not None:
+                report["shape"] = _shape_dict(shape)
+            report.update(body)
+            if triangles is not None and not args.no_timing:
+                report["timing"] = {"seconds": elapsed}
+            _emit(report, args)
+        _plot(args, work, triangles or [])
+        return EXIT_NO_RESULT if triangles == [] else EXIT_OK
     except CLIUsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except _InputError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return EXIT_NO_INPUT
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     except NoBracketError as exc:
         diagnostic = {
             "command": argv[0] if argv else None,
             "result": "no-bracket",
             "detail": str(exc),
-            "grid": [[s.t, s.winding, s.status] for s in exc.grid],
+            "grid": _windings(exc.grid),
         }
         print(json.dumps(diagnostic, indent=2))
         return EXIT_NO_RESULT

@@ -2,8 +2,16 @@ import json
 
 import pytest
 
-from triscribe import equilateral_shape, load_curve, residuals
-from triscribe.cli import EXIT_NO_INPUT, EXIT_NO_RESULT, EXIT_OK, EXIT_USAGE, run
+from triscribe import Curve, equilateral_shape, load_curve, residuals
+from triscribe.cli import (
+    EXIT_ERROR,
+    EXIT_NO_INPUT,
+    EXIT_NO_RESULT,
+    EXIT_OK,
+    EXIT_USAGE,
+    build_parser,
+    run,
+)
 
 
 def run_json(capsys, argv):
@@ -170,6 +178,12 @@ class TestErrorPaths:
             (["check-monotone", "--samples", "3"], "--samples"),
             (["solve-equilateral", "--grid", "7"], "--grid"),
             (["sweep", "--angles", "60,60,60", "--tol", "1e-6"], "--tol"),
+            (["solve-similar", "--angles", "60,60,60", "--plot-ratio-path", "abc"],
+             "--plot-ratio-path"),
+            (["solve-equilateral", "--plot-ratio-path", "1.5,f.svg"], "--plot-ratio-path"),
+            (["solve-similar", "--angles", "60,60,60", "--plot-ratio-path", "0.5"],
+             "--plot-ratio-path"),
+            (["plot", "--plot-ratio-path", "1.5,f.svg"], "--plot-ratio-path"),
         ],
     )
     def test_flag_rejected_at_boundary(self, capsys, argv, flag):
@@ -179,17 +193,51 @@ class TestErrorPaths:
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1 and flag in captured.err
 
-    def test_unknown_generator_parameter(self, capsys):
-        code = run(["solve-similar", "--curve", "gen:circle,foo=1", "--angles", "60,60,60"])
+    @pytest.mark.parametrize(
+        "spec, word",
+        [
+            ("gen:circle,foo=1", "foo"),
+            ("gen:circle,samples=abc", "samples"),
+            ("gen:circle,samples=nan", "samples"),
+            ("gen:circle,samples=16.9", "samples"),
+        ],
+    )
+    def test_unknown_generator_parameter(self, capsys, spec, word):
+        code = run(["solve-similar", "--curve", spec, "--angles", "60,60,60"])
         assert code == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert len(err.strip().splitlines()) == 1 and "foo" in err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1 and word in captured.err
 
-    def test_malformed_json(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{not json",
+            '{"points": {"points": 3}}',
+            '{"generator": "circle", "params": [1]}',
+            '{"points": [[0, 0], [1, 0], [1]]}',
+            '{"points": [["a", "b"], ["c", "d"], ["e", "f"]]}',
+        ],
+        ids=["not-json", "points-object", "params-list", "ragged-rows", "string-rows"],
+    )
+    def test_malformed_json(self, capsys, tmp_path, text):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
+        bad.write_text(text)
         code = run(["solve-similar", "--curve", str(bad), "--angles", "60,60,60"])
         assert code == EXIT_NO_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("cannot read input:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("flag", ["--out", "--plot-svg", "--plot-ratio-path"])
+    @pytest.mark.parametrize("target", ["directory", "missing-parent"])
+    def test_unwritable_output(self, capsys, tmp_path, flag, target):
+        path = str(tmp_path if target == "directory" else tmp_path / "missing" / "out")
+        value = f"0.5,{path}" if flag == "--plot-ratio-path" else path
+        code = run(["solve-equilateral", "--curve", "gen:circle,samples=256", "--no-timing",
+                    flag, value])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output:") and len(err.splitlines()) == 1
 
 
 class TestSvgOutput:
@@ -225,6 +273,18 @@ class TestSvgOutput:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["solve-similar", "solve-equilateral"])
+    def test_three_d_solve_refused_before_solving(self, capsys, tmp_path, command):
+        svg = tmp_path / "x.svg"
+        argv = [command, "--curve", "gen:tilted_circle_nd,n=3,samples=256", "--plot-svg", str(svg)]
+        if command == "solve-similar":
+            argv += ["--angles", "60,60,60"]
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.out == "" and not svg.exists()
+        assert len(captured.err.splitlines()) == 1
+
     def test_three_d_projected(self, capsys, tmp_path):
         svg = tmp_path / "proj.svg"
         code = run(
@@ -240,3 +300,44 @@ class TestSvgOutput:
         assert run(argv + ["--plot-svg", str(a)]) == EXIT_OK
         assert run(argv + ["--plot-svg", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestCommandPath:
+    def test_one_rebase_per_call(self, capsys, monkeypatch):
+        """The CLI rebases the curve once and the solver reuses it (its own
+        rebase to parameter 0 returns the same curve)."""
+        rebuilt = []
+        original = Curve.with_base_param
+
+        def counting(curve, t):
+            work = original(curve, t)
+            if work is not curve:
+                rebuilt.append(t)
+            return work
+
+        monkeypatch.setattr(Curve, "with_base_param", counting)
+        code = run(["solve-similar", "--curve", "gen:circle,samples=256", "--angles", "60,60,60",
+                    "--base", "0.3", "--no-timing"])
+        assert code == EXIT_OK
+        assert rebuilt == [0.3]
+
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve-similar", "--angles", "60,60,60"],
+            ["solve-equilateral"],
+            ["check-hypothesis", "--angles", "60,60,60"],
+            ["check-monotone"],
+            ["sweep", "--angles", "60,60,60"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_input_vertices_is_the_input_count(self, capsys, argv):
+        # Base 0.001 falls inside a segment, so the rebased curve has 257 vertices.
+        code, report = run_json(capsys, [*argv, "--curve", "gen:circle,samples=256",
+                                         "--base", "0.001", "--no-timing"])
+        assert code == EXIT_OK
+        assert report["input"]["vertices"] == 256

@@ -22,6 +22,8 @@ from .errors import InvalidArgumentError
 MIN_VERTICES = 4
 MIN_SAMPLES = 16
 BLOCK_SIZE = 64  # segments per box of the block bounding-box index
+PRUNE_BLOCKS = 32  # blocks taken per exact pass of a block-pruned query
+_BLOCK_SPAN = np.arange(BLOCK_SIZE)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -61,6 +63,45 @@ def point_segment_distances(x, a, b):
     return row_norms(a + s[:, None] * ab - x)
 
 
+def _segment_lengths(columns):
+    """Length of each segment of the closed polyline with vertex columns
+    ``columns`` (n, m), the closing segment last.  The squares are summed
+    axis by axis, first to last, the order ``row_norms`` sums a row in."""
+    step = np.empty(columns.shape[1])
+    sq = np.zeros_like(step)
+    for x in columns:
+        np.subtract(x[1:], x[:-1], out=step[:-1])
+        step[-1] = x[0] - x[-1]
+        sq += step * step
+    return np.sqrt(sq)
+
+
+def _least(floor, values_of, best=math.inf):
+    """Least ``(value, index)`` over the blocks of a curve's block index, ties
+    going to the smaller index; ``(best, -1)`` if nothing is below ``best``.
+
+    ``values_of(ids)`` gives the values of the blocks ``ids`` (ascending) and
+    the index of each value, ascending too; ``floor[b]`` bounds every value
+    of block b from below.  Blocks are taken by increasing floor,
+    ``PRUNE_BLOCKS`` at a time, and a block whose floor exceeds the least
+    value so far is skipped, so it cannot hold the least value.
+    """
+    at = -1
+    order = np.argsort(floor, kind="stable")
+    for start in range(0, order.size, PRUNE_BLOCKS):
+        ids = order[start:start + PRUNE_BLOCKS]
+        ids = np.sort(ids[floor[ids] <= best])
+        if ids.size == 0:
+            break  # every later floor is higher still
+        values, index = values_of(ids)
+        if values.size == 0:
+            continue
+        k = int(np.argmin(values))
+        if values[k] < best or (values[k] == best and index[k] < at):
+            best, at = float(values[k]), int(index[k])
+    return best, at
+
+
 class Curve:
     """Immutable closed polyline with chord-length parameterization."""
 
@@ -75,23 +116,27 @@ class Curve:
             raise InvalidArgumentError(f"ambient dimension must be >= 2, got {n}")
         if not np.all(np.isfinite(pts)):
             raise InvalidArgumentError("vertex coordinates must be finite")
-        closed = np.vstack([pts, pts[:1]])
-        seg = np.diff(closed, axis=0)
-        seg_len = row_norms(seg)
+        cols = np.ascontiguousarray(pts.T)
+        self._build(pts, cols, _segment_lengths(cols))
+
+    def _build(self, pts, cols, seg_len):
+        """Set the curve up from its vertex rows, vertex columns and segment
+        lengths (the closing segment last)."""
         if np.any(seg_len == 0.0):
             raise InvalidArgumentError("consecutive vertices must be distinct")
         cum = np.concatenate(([0.0], np.cumsum(seg_len)))
         total = float(cum[-1])
         params = cum / total
         params[-1] = 1.0
-        pts.setflags(write=False)
-        params.setflags(write=False)
+        for array in (pts, cols, seg_len, params):
+            array.setflags(write=False)
         self._points = pts
+        self._columns = cols
+        self._seg_len = seg_len
         self._params = params  # length m + 1, last entry exactly 1
         self._total_length = total
         self._bounds = None
         self._extent = None
-        self._columns = None
         self._blocks = None
 
     # -- basic accessors -------------------------------------------------
@@ -126,7 +171,7 @@ class Curve:
     def bounds(self):
         """Per-axis ``(lower, upper)`` corners of the vertices' bounding box."""
         if self._bounds is None:
-            lower, upper = self._points.min(axis=0), self._points.max(axis=0)
+            lower, upper = self.columns.min(axis=1), self.columns.max(axis=1)
             lower.setflags(write=False)
             upper.setflags(write=False)
             self._bounds = (lower, upper)
@@ -144,13 +189,10 @@ class Curve:
     def columns(self):
         """The vertices as an (n, m) array, one contiguous row per axis.
 
-        Per-vertex reductions over the coordinates (the sweep's projection)
-        run several times faster on this layout than on ``points``.
+        Per-vertex reductions over the coordinates (segment lengths, the
+        bounding boxes, the distance queries, the sweep's projection) run
+        several times faster on this layout than on ``points``.
         """
-        if self._columns is None:
-            cols = np.ascontiguousarray(self._points.T)
-            cols.setflags(write=False)
-            self._columns = cols
         return self._columns
 
     @property
@@ -165,12 +207,13 @@ class Curve:
         """
         if self._blocks is None:
             m = self.n_vertices
+            cols = self.columns
             starts = np.arange(0, m, BLOCK_SIZE)
-            ends = self._points[np.minimum(starts + BLOCK_SIZE, m) % m]
-            lower = np.minimum(np.minimum.reduceat(self._points, starts), ends)
-            upper = np.maximum(np.maximum.reduceat(self._points, starts), ends)
-            mid = np.ascontiguousarray(((lower + upper) / 2.0).T)
-            half = np.ascontiguousarray(((upper - lower) / 2.0).T)
+            ends = cols[:, np.minimum(starts + BLOCK_SIZE, m) % m]
+            lower = np.minimum(np.minimum.reduceat(cols, starts, axis=1), ends)
+            upper = np.maximum(np.maximum.reduceat(cols, starts, axis=1), ends)
+            mid = (lower + upper) / 2.0
+            half = (upper - lower) / 2.0
             mid.setflags(write=False)
             half.setflags(write=False)
             self._blocks = (mid, half)
@@ -232,12 +275,23 @@ class Curve:
         m = self.n_vertices
         k = int(np.searchsorted(self._params, u, side="right") - 1)
         k = min(max(k, 0), m - 1)
+        # The new curve's vertex rows, vertex columns and segment lengths are
+        # this curve's, rolled, with segment k split in two at eval(u) unless
+        # u is a vertex parameter; its lengths are those Curve() would take.
+        pts, cols, seg_len = self._points, self._columns, self._seg_len
         if u == self._params[k]:
-            rolled = np.roll(self._points, -k, axis=0)
-            return Curve(rolled)
-        new_point = self.eval(u)
-        rotated = np.vstack([new_point[None, :], self._points[k + 1:], self._points[: k + 1]])
-        return Curve(rotated)
+            pts = np.vstack([pts[k:], pts[:k]])
+            cols = np.concatenate([cols[:, k:], cols[:, :k]], axis=1)
+            seg_len = np.concatenate([seg_len[k:], seg_len[:k]])
+        else:
+            new_point = self.eval(u)
+            halves = _segment_lengths(np.column_stack([pts[k], new_point, pts[(k + 1) % m]]))
+            pts = np.vstack([new_point[None, :], pts[k + 1:], pts[: k + 1]])
+            cols = np.concatenate([new_point[:, None], cols[:, k + 1:], cols[:, : k + 1]], axis=1)
+            seg_len = np.concatenate([halves[1:2], seg_len[k + 1:], seg_len[:k], halves[:1]])
+        curve = Curve.__new__(Curve)
+        curve._build(pts, cols, seg_len)
+        return curve
 
     # -- distance queries ------------------------------------------------
 
@@ -276,6 +330,13 @@ class Curve:
         forward from lo to hi, wrapping through 0 when lo > hi (the usual
         ``(1 - eps, eps)`` window around the base point).  Distances are exact
         per clipped segment.
+
+        The retained arcs' end segments, clipped, give a first minimum.  The
+        blocks of ``blocks`` that hold the other retained segments are then
+        measured nearest box first, and a block whose box lies farther from
+        ``base`` than the minimum so far is skipped: only segments that can
+        hold the minimum are measured, each as it would be alone, so the
+        pruning does not change the result.
         """
         lo, hi = (float(excluded[0]), float(excluded[1]))
         if not (0.0 <= lo <= 1.0 and 0.0 <= hi <= 1.0):
@@ -289,9 +350,9 @@ class Curve:
             retained = [(hi, lo)]
         else:
             retained = [(0.0, lo), (hi, 1.0)]
-        best = math.inf
         params = self._params
         m = self.n_vertices
+        ends, inner = [], []
         for u, v in retained:
             if v <= u:
                 continue
@@ -299,15 +360,53 @@ class Curve:
             # first and the last can be clipped by the arc's ends.
             first = max(0, int(np.searchsorted(params, u, side="right") - 1))
             stop = int(np.searchsorted(params, v, side="left"))
-            j = np.arange(first, stop)
+            j = np.array([first, stop - 1])
             a = self._points[j]
             b = self._points[(j + 1) % m]
             if params[first] < u:
                 a[0] = self.eval(u)
             if params[stop] > v:
                 b[-1] = self.eval(v)
-            best = min(best, float(point_segment_distances(base, a, b).min()))
-        return float(best)
+            if first == stop - 1:
+                a[1], b[0] = a[0], b[1]
+            ends.append(point_segment_distances(base, a, b))
+            inner.append((first + 1, stop - 1))
+        starts = np.arange(0, m, BLOCK_SIZE)
+        # Blocks that hold a segment strictly inside a retained arc.
+        overlap = np.zeros(starts.size, dtype=bool)
+        for s0, s1 in inner:
+            overlap |= (starts < s1) & (starts + BLOCK_SIZE > s0)
+
+        def distances(ids):
+            seg = self._block_vertices(ids)
+            seg = seg[np.any([(seg >= s0) & (seg < s1) for s0, s1 in inner], axis=0)]
+            return point_segment_distances(base, self._points[seg], self._points[(seg + 1) % m]), seg
+
+        floor = np.where(overlap, self._box_distances(base)[0], math.inf)
+        best, _ = _least(floor, distances, float(np.concatenate(ends).min()))
+        return best
+
+    def _block_vertices(self, ids):
+        """Vertices b B ... b B + B - 1 of each block b of ``ids``, capped at the
+        last vertex: the vertices, and the starts of the segments, that lie
+        in block b's box."""
+        j = (ids[:, None] * BLOCK_SIZE + _BLOCK_SPAN).ravel()
+        return j[j < self.n_vertices]
+
+    def _box_distances(self, x, radius=0.0):
+        """Lower and upper bounds, per block, on the distance from ``x`` to the
+        points of the block's box.  The bounds are widened by a bound on the
+        rounding of the box and of a distance taken from vertex coordinates,
+        and of one compared with ``radius``."""
+        mid, half = self.blocks
+        lower, upper = self.bounds
+        gap = np.abs(mid - x[:, None])
+        near = np.sqrt((np.maximum(gap - half, 0.0) ** 2).sum(axis=0))
+        far = np.sqrt(((gap + half) ** 2).sum(axis=0))
+        # Every rounding error of those is a few ulps of the sizes below.
+        reach = float(np.linalg.norm(np.maximum(-lower, upper)) + np.linalg.norm(x)) + radius
+        slack = (self.dimension + 8) * 2.0 ** -50 * reach
+        return near - slack, far + slack
 
 
 def _golden_max(f, lo, hi, iters=80):

@@ -296,32 +296,30 @@ class Curve:
     # -- distance queries ------------------------------------------------
 
     def farthest_param(self, base):
-        """Parameter t1 maximizing the distance to ``base``.
+        """Parameter of the first vertex farthest from ``base``.
 
-        The distance along any single segment is convex, so the vertex argmax
-        already attains the global maximum.  A golden-section pass over the two
-        adjacent segments still replaces it unless strictly nearer, which moves
-        t1 off the vertex by up to ~1e-13 on many curves (4096-sample unit
-        circle: 0.500000000000012, vertex 0.5000000000000447); reports carry
-        those digits.
+        The distance along any single segment is convex, so the farthest
+        vertex attains the maximum over the curve.  Distances are taken on
+        ``columns``, squares summed axis by axis as in ``row_norms``; blocks
+        are measured farthest box first, and a block whose box lies nearer
+        than the farthest vertex so far is skipped.
         """
         base = np.asarray(base, dtype=float)
         if base.shape != (self.dimension,):
             raise InvalidArgumentError("base point dimension mismatch")
         if not np.all(np.isfinite(base)):
             raise InvalidArgumentError("base point must be finite")
-        d = row_norms(self._points - base)
-        k = int(np.argmax(d))  # first occurrence = smallest parameter
-        lo = self._params[k - 1] if k > 0 else self._params[self.n_vertices - 1] - 1.0
-        hi = self._params[k + 1]
 
-        def f(t):
-            return float(np.linalg.norm(self.eval(t) - base))
+        def negated_distances(ids):
+            j = self._block_vertices(ids)
+            sq = np.zeros(j.size)
+            for x, c in zip(self.columns, base):
+                step = x[j] - c
+                sq += step * step
+            return -np.sqrt(sq), j
 
-        t_star = _golden_max(f, lo, hi)
-        if f(t_star) < d[k]:
-            t_star = float(self._params[k])
-        return float(np.mod(t_star, 1.0))
+        _, k = _least(-self._box_distances(base)[1], negated_distances)
+        return float(self._params[k])
 
     def min_distance_excluding(self, base, excluded):
         """Infimum of distance from ``base`` to the curve outside a parameter arc.

@@ -394,7 +394,13 @@ def sphere_winding(curve, t, shape):
 
 def _param_at_distance(curve, target, lo, hi, samples=2048):
     """First parameter in [lo, hi] (modular, scanned from lo) where the
-    distance to the base point crosses ``target``."""
+    distance to the base point crosses ``target``.
+
+    A scan of ``samples`` parameters finds the first one at or beyond the
+    target.  Between it and the sample before, each piece of the polyline is
+    straight, so |gamma(t) - o|^2 = target^2 is a quadratic in t on it; the
+    answer is the first root, in scan order, on the first piece that has one.
+    """
     base = curve.origin
     ts = lo + (hi - lo) * np.arange(1, samples + 1) / samples
     d = row_norms(curve.eval_many(ts) - base)
@@ -402,15 +408,35 @@ def _param_at_distance(curve, target, lo, hi, samples=2048):
     if above.size == 0:
         raise DegenerateConfigurationError("curve never reaches the target distance in the window")
     k = int(above[0])
-    t_lo = lo if k == 0 else ts[k - 1]
-    t_hi = ts[k]
-    for _ in range(80):
-        mid = 0.5 * (t_lo + t_hi)
-        if float(np.linalg.norm(curve.eval(mid) - base)) >= target:
-            t_hi = mid
-        else:
-            t_lo = mid
-    return float(np.mod(0.5 * (t_lo + t_hi), 1.0))
+    t_from = lo if k == 0 else ts[k - 1]
+    t_to = float(ts[k])
+    # The vertex parameters strictly between the two samples, unreduced, cut
+    # the bracket into straight pieces; the bracket is narrower than a period.
+    shift = math.floor(min(t_from, t_to))
+    u0, u1 = sorted((t_from - shift, t_to - shift))
+    params = curve.params
+    cuts = [params[np.searchsorted(params, u0, "right"):np.searchsorted(params, u1, "left")]]
+    if u1 > 1.0:
+        cuts.append(params[1:np.searchsorted(params, u1 - 1.0, "left")] + 1.0)
+    cuts = np.concatenate(cuts) + shift
+    ends = np.concatenate(([t_from], cuts if t_from < t_to else cuts[::-1], [t_to]))
+    # On the piece from a = gamma(ends[i]) to b = gamma(ends[i + 1]):
+    # |a - o + tau (b - a)|^2 - target^2 = qa tau^2 + 2 qb tau + qc.
+    start = curve.eval_many(ends[:-1]) - base
+    step = curve.eval_many(ends[1:]) - start - base
+    qa = (step * step).sum(axis=1)
+    qb = (start * step).sum(axis=1)
+    qc = (start * start).sum(axis=1) - target * target
+    # Below the target at tau = 0 (qc < 0), the crossing is the larger root,
+    # taken in the form that does not cancel.
+    root = np.sqrt(np.maximum(qb * qb - qa * qc, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau = np.where(qc >= 0.0, 0.0, np.where(qb > 0.0, -qc / (qb + root), (root - qb) / qa))
+    hit = np.flatnonzero(tau <= 1.0)
+    if hit.size == 0:
+        return float(np.mod(t_to, 1.0))  # rounding: the sample itself is at the target
+    i = int(hit[0])
+    return float(np.mod(ends[i] + tau[i] * (ends[i + 1] - ends[i]), 1.0))
 
 
 def near_base_param(curve, shape, epsilon):

@@ -310,15 +310,14 @@ class Curve:
         if not np.all(np.isfinite(base)):
             raise InvalidArgumentError("base point must be finite")
 
-        def negated_distances(ids):
-            j = self._block_vertices(ids)
-            sq = np.zeros(j.size)
-            for x, c in zip(self.columns, base):
-                step = x[j] - c
+        def negated_distances(columns):
+            sq = np.zeros(columns.shape[1])
+            for x, c in zip(columns, base):
+                step = x - c
                 sq += step * step
-            return -np.sqrt(sq), j
+            return -np.sqrt(sq)
 
-        _, k = _least(-self._box_distances(base)[1], negated_distances)
+        k = self.least_vertex(negated_distances, -self.box_distances(base)[1])
         return float(self._params[k])
 
     def min_distance_excluding(self, base, excluded):
@@ -380,7 +379,7 @@ class Curve:
             seg = seg[np.any([(seg >= s0) & (seg < s1) for s0, s1 in inner], axis=0)]
             return point_segment_distances(base, self._points[seg], self._points[(seg + 1) % m]), seg
 
-        floor = np.where(overlap, self._box_distances(base)[0], math.inf)
+        floor = np.where(overlap, self.box_distances(base)[0], math.inf)
         best, _ = _least(floor, distances, float(np.concatenate(ends).min()))
         return best
 
@@ -391,7 +390,20 @@ class Curve:
         j = (ids[:, None] * BLOCK_SIZE + _BLOCK_SPAN).ravel()
         return j[j < self.n_vertices]
 
-    def _box_distances(self, x, radius=0.0):
+    def least_vertex(self, values, floor):
+        """The first vertex with the least value, ``values(x)`` giving the
+        values of vertex columns ``x`` (n, k) and ``floor[b]`` a lower bound
+        on the values of block b's vertices; blocks are measured lowest floor
+        first, and a block whose floor exceeds the least value so far is
+        skipped."""
+
+        def of_blocks(ids):
+            j = self._block_vertices(ids)
+            return values(self._columns[:, j]), j
+
+        return _least(floor, of_blocks)[1]
+
+    def box_distances(self, x, radius=0.0):
         """Lower and upper bounds, per block, on the distance from ``x`` to the
         points of the block's box.  The bounds are widened by a bound on the
         rounding of the box and of a distance taken from vertex coordinates,

@@ -156,17 +156,24 @@ def _sphere_distance_fn(curve, sphere):
 
 
 def _nearest_param_to_sphere(curve, sphere):
-    v = curve.points - sphere.center
-    h = v @ sphere.normal
-    w = np.sqrt(np.maximum((v * v).sum(axis=1) - h * h, 0.0))
-    d = np.hypot(h, w - sphere.radius)
-    k = int(np.argmin(d))
+    """Curve parameter nearest the sphere: the nearest vertex, then a
+    golden-section pass over its two segments that replaces it unless
+    farther.  A point x lies at least ||x - center| - r| from the sphere,
+    which bounds each block from below for the vertex pass."""
+    radius = sphere.radius
+
+    def distances(columns):
+        w_sq, h = _cylinder_coords(columns, sphere)
+        return np.hypot(h, np.sqrt(w_sq) - radius)
+
+    near, far = curve.box_distances(sphere.center, radius)
+    k = curve.least_vertex(distances, np.maximum(near - radius, radius - far))
     params = curve.params
     lo = params[k - 1] if k > 0 else params[curve.n_vertices - 1] - 1.0
     hi = params[k + 1]
     dist = _sphere_distance_fn(curve, sphere)
     t_star = _golden_max(lambda t: -dist(t), lo, hi)
-    if dist(t_star) > d[k]:
+    if dist(t_star) > dist(params[k]):
         t_star = params[k]
     return float(np.mod(t_star, 1.0))
 

@@ -121,6 +121,9 @@ def parse_curve_arg(arg):
         samples = params.pop("samples", 4096)
         if isinstance(samples, str) or (isinstance(samples, float) and not samples.is_integer()):
             raise CLIUsageError(f"generator parameter samples must be an integer, got {samples}")
+        for key, value in params.items():
+            if isinstance(value, str):
+                raise CLIUsageError(f"generator parameter {key} must be a number, got {value}")
         try:
             return make_curve(name, samples=int(samples), **params)
         except InvalidArgumentError as exc:

@@ -640,8 +640,10 @@ def curve_from_spec(spec):
         return Curve(pts)
     if "generator" in spec:
         params = dict(spec.get("params", {}))
-        samples = int(spec.get("samples", 4096))
-        return make_curve(spec["generator"], samples=samples, **params)
+        samples = spec.get("samples", 4096)
+        if isinstance(samples, float) and not samples.is_integer():
+            raise InvalidArgumentError(f"curve spec samples must be an integer, got {samples}")
+        return make_curve(spec["generator"], samples=int(samples), **params)
     raise InvalidArgumentError("curve spec needs either 'points' or 'generator'")
 
 

@@ -200,6 +200,9 @@ class TestErrorPaths:
             ("gen:circle,samples=abc", "samples"),
             ("gen:circle,samples=nan", "samples"),
             ("gen:circle,samples=16.9", "samples"),
+            ("gen:ellipse,a=abc", "parameter a must be a number"),
+            ("gen:polygon,sides=abc", "parameter sides must be a number"),
+            ("gen:u_turn,half_angle_deg=10,leg=1e", "parameter leg must be a number"),
         ],
     )
     def test_unknown_generator_parameter(self, capsys, spec, word):
@@ -208,6 +211,28 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1 and word in captured.err
+
+    @pytest.mark.parametrize("command", ["check-monotone", "solve-equilateral"])
+    def test_non_numeric_generator_parameter_before_solving(self, capsys, command):
+        code = run([command, "--curve", "gen:ellipse,a=abc"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert captured.err == "usage error: generator parameter a must be a number, got abc\n"
+
+    @pytest.mark.parametrize("samples", [16.9, 256.5])
+    def test_fractional_samples_in_curve_file(self, capsys, tmp_path, samples):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"generator": "circle", "samples": samples}))
+        code = run(["check-monotone", "--curve", str(spec), "--no-timing"])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR and captured.out == ""
+        assert captured.err == f"error: curve spec samples must be an integer, got {samples}\n"
+
+    def test_whole_float_samples_in_curve_file(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"generator": "circle", "samples": 64.0}))
+        code, report = run_json(capsys, ["check-monotone", "--curve", str(spec), "--no-timing"])
+        assert code == EXIT_OK and report["input"]["vertices"] == 64
 
     @pytest.mark.parametrize(
         "text",

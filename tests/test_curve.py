@@ -288,6 +288,11 @@ class TestJsonInterface:
         with pytest.raises(InvalidArgumentError):
             curve_from_json(json.dumps({"dimension": 3, "points": [[0, 0], [1, 0], [1, 1], [0, 1]]}))
 
+    @pytest.mark.parametrize("samples", [16.9, math.nan, math.inf])
+    def test_rejects_fractional_samples(self, samples):
+        with pytest.raises(InvalidArgumentError, match="samples must be an integer"):
+            curve_from_json(json.dumps({"generator": "circle", "samples": samples}))
+
     def test_rejects_too_few_points(self):
         with pytest.raises(InvalidArgumentError):
             curve_from_json(json.dumps({"points": [[0, 0], [1, 0], [1, 1]]}))

@@ -443,6 +443,23 @@ def test_grid_memory_is_bounded(monkeypatch, name, kwargs, samples, angles):
     assert peaks[0] < 2 * 2**20
 
 
+def test_near_base_memory_is_bounded():
+    """The sweep's start parameter takes no whole-curve temporary: the
+    minimum distance measures only the blocks the block index cannot rule
+    out, a bounded number at a time, and the crossing is solved on the
+    scan's samples.  Building the block index is included."""
+    curve = make_curve("tilted_circle_nd", samples=65536, n=6)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        t_near = near_base_param(curve, EQ, FALLBACK_EPSILON)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < t_near < FALLBACK_EPSILON
+    assert peak < 2 * 2**20
+
+
 FIGURE_EIGHT = Curve([
     (0, 0), (1, 0), (1, 1), (0, 1),  # out and back to the base
     (0, 0), (-2, 0), (-2, -2), (0, -2),  # (-2, -2) is farthest

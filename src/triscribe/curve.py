@@ -87,8 +87,6 @@ def _least(floor, values_of, best=math.inf):
         if ids.size == 0:
             break  # every later floor is higher still
         values, index = values_of(ids)
-        if values.size == 0:
-            continue
         k = int(np.argmin(values))
         if values[k] < best or (values[k] == best and index[k] < at):
             best, at = float(values[k]), int(index[k])
@@ -360,7 +358,8 @@ class Curve:
             if first == stop - 1:
                 a[1], b[0] = a[0], b[1]
             ends.append(point_segment_distances(base, a, b))
-            inner.append((first + 1, stop - 1))
+            if first + 1 < stop - 1:
+                inner.append((first + 1, stop - 1))
         starts = np.arange(0, m, BLOCK_SIZE)
         # Blocks that hold a segment strictly inside a retained arc.
         overlap = np.zeros(starts.size, dtype=bool)

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from triscribe import Curve, make_curve
+from triscribe.curve import point_segment_distance
 
 
 @pytest.fixture(scope="session")
@@ -40,3 +43,21 @@ def polyline_distance(curve, x):
     s = np.clip(((x - a) * ab).sum(axis=1) / denom, 0.0, 1.0)
     closest = a + s[:, None] * ab
     return float(np.linalg.norm(closest - x, axis=1).min())
+
+
+def min_distance_loop(curve, base, excluded):
+    """Reference: one ``point_segment_distance`` call per clipped retained segment."""
+    lo, hi = excluded
+    retained = [(hi, lo)] if hi <= lo else [(0.0, lo), (hi, 1.0)]
+    params, pts, m = curve.params, curve.points, curve.n_vertices
+    best = math.inf
+    for u, v in retained:
+        for j in range(m):
+            a, b = params[j], params[j + 1]
+            ca, cb = max(a, u), min(b, v)
+            if cb <= ca:
+                continue
+            pa = pts[j] if ca == a else curve.eval(ca)
+            pb = pts[(j + 1) % m] if cb == b else curve.eval(cb)
+            best = min(best, point_segment_distance(base, pa, pb))
+    return best

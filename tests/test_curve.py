@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triscribe import Curve, InvalidArgumentError, curve_from_json, make_curve
-from triscribe.curve import point_segment_distance
 
-from conftest import polyline_distance
+from conftest import min_distance_loop, polyline_distance
 
 
 class TestEval:
@@ -163,24 +162,6 @@ class TestMinDistanceExcluding:
     def test_full_coverage_rejected(self, unit_square):
         with pytest.raises(InvalidArgumentError):
             unit_square.min_distance_excluding(np.array([0.0, 0.0]), (0.5, 0.5))
-
-
-def min_distance_loop(curve, base, excluded):
-    """Reference: one ``point_segment_distance`` call per clipped retained segment."""
-    lo, hi = excluded
-    retained = [(hi, lo)] if hi <= lo else [(0.0, lo), (hi, 1.0)]
-    params, pts, m = curve.params, curve.points, curve.n_vertices
-    best = math.inf
-    for u, v in retained:
-        for j in range(m):
-            a, b = params[j], params[j + 1]
-            ca, cb = max(a, u), min(b, v)
-            if cb <= ca:
-                continue
-            pa = pts[j] if ca == a else curve.eval(ca)
-            pb = pts[(j + 1) % m] if cb == b else curve.eval(cb)
-            best = min(best, point_segment_distance(base, pa, pb))
-    return best
 
 
 def _window_end(curve, pick):

@@ -14,9 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triscribe import Curve
-from triscribe.curve import BLOCK_SIZE, point_segment_distance
+from triscribe.curve import BLOCK_SIZE
 from triscribe.frames import Sphere
 from triscribe.solvers import _nearest_param_to_sphere, _param_at_distance
+
+from conftest import min_distance_loop
 
 EXAMPLES = 60
 
@@ -50,25 +52,6 @@ def window_end(curve, rng, kind):
 
 
 ends = st.sampled_from(["vertex", "inside", "closing"])
-
-
-def min_distance_loop(curve, base, excluded):
-    """One ``point_segment_distance`` call per retained segment, clipped to
-    the retained arcs."""
-    lo, hi = excluded
-    retained = [(hi, lo)] if hi <= lo else [(0.0, lo), (hi, 1.0)]
-    params, pts, m = curve.params, curve.points, curve.n_vertices
-    best = math.inf
-    for u, v in retained:
-        for j in range(m):
-            a, b = params[j], params[j + 1]
-            ca, cb = max(a, u), min(b, v)
-            if cb <= ca:
-                continue
-            pa = pts[j] if ca == a else curve.eval(ca)
-            pb = pts[(j + 1) % m] if cb == b else curve.eval(cb)
-            best = min(best, point_segment_distance(base, pa, pb))
-    return best
 
 
 @settings(max_examples=EXAMPLES, deadline=None)

@@ -355,7 +355,7 @@ class Curve:
                 a[0] = self.eval(u)
             if params[stop] > v:
                 b[-1] = self.eval(v)
-            if first == stop - 1:
+            if first == stop - 1:  # one segment, clipped at both ends
                 a[1], b[0] = a[0], b[1]
             ends.append(point_segment_distances(base, a, b))
             if first + 1 < stop - 1:

@@ -75,22 +75,26 @@ def _least(floor, values_of, best=math.inf):
 
     ``values_of(ids)`` gives the values of the blocks ``ids`` (ascending) and
     the index of each value, ascending too; ``floor[b]`` bounds every value
-    of block b from below.  Blocks are taken by increasing floor,
-    ``PRUNE_BLOCKS`` at a time, and a block whose floor exceeds the least
-    value so far is skipped, so it cannot hold the least value.
+    of block b from below.  The block of lowest floor, which most often
+    holds the least value, is measured first, then the others
+    ``PRUNE_BLOCKS`` at a time; a block whose floor exceeds the least value
+    so far is skipped, so it cannot hold the least value.
     """
     at = -1
-    order = np.argsort(floor, kind="stable")
-    for start in range(0, order.size, PRUNE_BLOCKS):
-        ids = order[start:start + PRUNE_BLOCKS]
-        ids = np.sort(ids[floor[ids] <= best])
+    pending = np.ones(floor.size, dtype=bool)
+    ids = np.array([np.argmin(floor)])
+    while True:
+        ids = ids[floor[ids] <= best]
+        if ids.size:
+            values, index = values_of(ids)
+            k = int(np.argmin(values))
+            if values[k] < best or (values[k] == best and index[k] < at):
+                best, at = float(values[k]), int(index[k])
+            pending[ids] = False
+        pending &= floor <= best
+        ids = np.flatnonzero(pending)[:PRUNE_BLOCKS]
         if ids.size == 0:
-            break  # every later floor is higher still
-        values, index = values_of(ids)
-        k = int(np.argmin(values))
-        if values[k] < best or (values[k] == best and index[k] < at):
-            best, at = float(values[k]), int(index[k])
-    return best, at
+            return best, at
 
 
 class Curve:

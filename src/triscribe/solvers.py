@@ -400,8 +400,8 @@ def sphere_winding(curve, t, shape):
 
 
 def _param_at_distance(curve, target, lo, hi, samples=2048):
-    """First parameter in [lo, hi] (modular, scanned from lo) where the
-    distance to the base point crosses ``target``.
+    """First parameter between lo and hi (both in [0, 1], scanned from lo)
+    where the distance to the base point crosses ``target``.
 
     A scan of ``samples`` parameters finds the first one at or beyond the
     target.  Between it and the sample before, each piece of the polyline is
@@ -417,15 +417,11 @@ def _param_at_distance(curve, target, lo, hi, samples=2048):
     k = int(above[0])
     t_from = lo if k == 0 else ts[k - 1]
     t_to = float(ts[k])
-    # The vertex parameters strictly between the two samples, unreduced, cut
-    # the bracket into straight pieces; the bracket is narrower than a period.
-    shift = math.floor(min(t_from, t_to))
-    u0, u1 = sorted((t_from - shift, t_to - shift))
+    # The vertex parameters strictly between the two samples cut the bracket
+    # into straight pieces.
     params = curve.params
-    cuts = [params[np.searchsorted(params, u0, "right"):np.searchsorted(params, u1, "left")]]
-    if u1 > 1.0:
-        cuts.append(params[1:np.searchsorted(params, u1 - 1.0, "left")] + 1.0)
-    cuts = np.concatenate(cuts) + shift
+    u0, u1 = sorted((t_from, t_to))
+    cuts = params[np.searchsorted(params, u0, "right"):np.searchsorted(params, u1, "left")]
     ends = np.concatenate(([t_from], cuts if t_from < t_to else cuts[::-1], [t_to]))
     # On the piece from a = gamma(ends[i]) to b = gamma(ends[i + 1]):
     # |a - o + tau (b - a)|^2 - target^2 = qa tau^2 + 2 qb tau + qc.

@@ -103,8 +103,7 @@ def first_crossing_by_bisection(curve, target, lo, hi, samples=2048):
     ts = lo + (hi - lo) * np.arange(1, samples + 1) / samples
     k = next(i for i, t in enumerate(ts) if dist(t) >= target)
     t_from, t_to = (lo if k == 0 else ts[k - 1]), ts[k]
-    cuts = [p + period for p in curve.params for period in (-1.0, 0.0, 1.0, 2.0)
-            if min(t_from, t_to) < p + period < max(t_from, t_to)]
+    cuts = [p for p in curve.params if min(t_from, t_to) < p < max(t_from, t_to)]
     pieces = [t_from, *sorted(cuts, reverse=bool(t_to < t_from)), t_to]
     below, above = next((a, b) for a, b in zip(pieces, pieces[1:]) if dist(b) >= target)
     if dist(below) >= target:

@@ -118,16 +118,15 @@ def parse_curve_arg(arg):
                 raise CLIUsageError(f"bad generator parameter {item!r}; expected key=value")
             key, value = item.split("=", 1)
             params[key] = _parse_value(value)
-        samples = params.pop("samples", 4096)
-        if isinstance(samples, str) or (isinstance(samples, float) and not samples.is_integer()):
-            raise CLIUsageError(f"generator parameter samples must be an integer, got {samples}")
-        for key, value in params.items():
-            if isinstance(value, str):
-                raise CLIUsageError(f"generator parameter {key} must be a number, got {value}")
         try:
-            return make_curve(name, samples=int(samples), **params)
+            return make_curve(name, **params)
         except InvalidArgumentError as exc:
             raise CLIUsageError(str(exc)) from exc
+        except (ValueError, TypeError, OverflowError) as exc:  # a value the generator cannot take
+            key = next((k for k, v in params.items() if isinstance(v, str)), None)
+            if key is None:
+                raise CLIUsageError(f"bad generator parameter value: {exc}") from exc
+            raise CLIUsageError(f"generator parameter {key} must be a number, got {params[key]}") from exc
     try:
         return load_curve(arg)
     except TriscribeError:

@@ -39,10 +39,17 @@ def row_norms(a):
 
 
 def point_segment_distance(x, a, b):
-    """Exact distance from point ``x`` to the segment ``[a, b]``: the one-row
-    form of ``point_segment_distances``, with the same bits."""
-    a = np.asarray(a, dtype=float)[None, :]
-    return float(point_segment_distances(x, a, np.asarray(b, dtype=float)[None, :])[0])
+    """Exact distance from point ``x`` to the segment ``[a, b]``."""
+    x = np.asarray(x, dtype=float)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    ab = b - a
+    denom = float(np.dot(ab, ab))
+    if denom == 0.0:
+        return float(np.linalg.norm(x - a))
+    s = float(np.dot(x - a, ab)) / denom
+    s = min(1.0, max(0.0, s))
+    return float(np.linalg.norm(x - (a + s * ab)))
 
 
 def point_segment_distances(x, a, b):
@@ -59,7 +66,8 @@ def point_segment_distances(x, a, b):
 def _segment_lengths(columns):
     """Length of each segment of the closed polyline with vertex columns
     ``columns`` (n, m), the closing segment last.  The squares are summed
-    axis by axis, first to last, the order ``row_norms`` sums a row in."""
+    axis by axis, first to last: for n <= 7 the order ``row_norms`` sums a
+    row in, so the lengths have the bits ``row_norms`` gives them."""
     step = np.empty(columns.shape[1])
     sq = np.zeros_like(step)
     for x in columns:
@@ -101,7 +109,7 @@ class Curve:
     """Immutable closed polyline with chord-length parameterization."""
 
     def __init__(self, points):
-        pts = np.array(points, dtype=float)
+        pts = np.asarray(points, dtype=float)
         if pts.ndim != 2:
             raise InvalidArgumentError("points must be a 2-D array of vertices")
         m, n = pts.shape
@@ -111,22 +119,22 @@ class Curve:
             raise InvalidArgumentError(f"ambient dimension must be >= 2, got {n}")
         if not np.all(np.isfinite(pts)):
             raise InvalidArgumentError("vertex coordinates must be finite")
-        cols = np.ascontiguousarray(pts.T)
-        self._build(pts, cols, _segment_lengths(cols))
+        cols = np.array(pts.T, order="C")
+        self._build(cols, _segment_lengths(cols))
 
-    def _build(self, pts, cols, seg_len):
-        """Set the curve up from its vertex rows, vertex columns and segment
-        lengths (the closing segment last)."""
+    def _build(self, cols, seg_len):
+        """Set the curve up from its vertex columns and segment lengths (the
+        closing segment last)."""
         if np.any(seg_len == 0.0):
             raise InvalidArgumentError("consecutive vertices must be distinct")
         cum = np.concatenate(([0.0], np.cumsum(seg_len)))
         total = float(cum[-1])
         params = cum / total
         params[-1] = 1.0
-        for array in (pts, cols, seg_len, params):
+        for array in (cols, seg_len, params):
             array.setflags(write=False)
-        self._points = pts
         self._columns = cols
+        self._points = cols.T  # a view: the vertices are held once
         self._seg_len = seg_len
         self._params = params  # length m + 1, last entry exactly 1
         self._total_length = total
@@ -142,11 +150,11 @@ class Curve:
 
     @property
     def dimension(self):
-        return self._points.shape[1]
+        return self._columns.shape[0]
 
     @property
     def n_vertices(self):
-        return self._points.shape[0]
+        return self._columns.shape[1]
 
     @property
     def params(self):
@@ -182,11 +190,12 @@ class Curve:
 
     @property
     def columns(self):
-        """The vertices as an (n, m) array, one contiguous row per axis.
+        """The vertices as an (n, m) array, one contiguous row per axis;
+        ``points`` is its transpose, a view.
 
         Per-vertex reductions over the coordinates (segment lengths, the
         bounding boxes, the distance queries, the sweep's projection) run
-        several times faster on this layout than on ``points``.
+        several times faster on this layout than on an (m, n) one.
         """
         return self._columns
 
@@ -270,22 +279,20 @@ class Curve:
         m = self.n_vertices
         k = int(np.searchsorted(self._params, u, side="right") - 1)
         k = min(max(k, 0), m - 1)
-        # The new curve's vertex rows, vertex columns and segment lengths are
-        # this curve's, rolled, with segment k split in two at eval(u) unless
-        # u is a vertex parameter; its lengths are those Curve() would take.
-        pts, cols, seg_len = self._points, self._columns, self._seg_len
+        # The new curve's vertex columns and segment lengths are this curve's,
+        # rolled, with segment k split in two at eval(u) unless u is a vertex
+        # parameter; its lengths are those Curve() would take.
+        cols, seg_len = self._columns, self._seg_len
         if u == self._params[k]:
-            pts = np.vstack([pts[k:], pts[:k]])
             cols = np.concatenate([cols[:, k:], cols[:, :k]], axis=1)
             seg_len = np.concatenate([seg_len[k:], seg_len[:k]])
         else:
             new_point = self.eval(u)
-            halves = _segment_lengths(np.column_stack([pts[k], new_point, pts[(k + 1) % m]]))
-            pts = np.vstack([new_point[None, :], pts[k + 1:], pts[: k + 1]])
+            halves = _segment_lengths(np.column_stack([cols[:, k], new_point, cols[:, (k + 1) % m]]))
             cols = np.concatenate([new_point[:, None], cols[:, k + 1:], cols[:, : k + 1]], axis=1)
             seg_len = np.concatenate([halves[1:2], seg_len[k + 1:], seg_len[:k], halves[:1]])
         curve = Curve.__new__(Curve)
-        curve._build(pts, cols, seg_len)
+        curve._build(cols, seg_len)
         return curve
 
     # -- distance queries ------------------------------------------------
@@ -295,7 +302,8 @@ class Curve:
 
         The distance along any single segment is convex, so the farthest
         vertex attains the maximum over the curve.  Distances are taken on
-        ``columns``, squares summed axis by axis as in ``row_norms``; blocks
+        ``columns``, squares summed axis by axis, first to last (for n <= 7
+        the order of ``row_norms``); blocks
         are measured farthest box first, and a block whose box lies nearer
         than the farthest vertex so far is skipped.
         """
@@ -312,7 +320,7 @@ class Curve:
                 sq += step * step
             return -np.sqrt(sq)
 
-        k = self.least_vertex(negated_distances, -self.box_distances(base)[1])
+        k = self._least_vertex(negated_distances, -self._box_distances(base)[1])
         return float(self._params[k])
 
     def min_distance_excluding(self, base, excluded):
@@ -375,7 +383,7 @@ class Curve:
             seg = seg[np.any([(seg >= s0) & (seg < s1) for s0, s1 in inner], axis=0)]
             return point_segment_distances(base, self._points[seg], self._points[(seg + 1) % m]), seg
 
-        floor = np.where(overlap, self.box_distances(base)[0], math.inf)
+        floor = np.where(overlap, self._box_distances(base)[0], math.inf)
         best, _ = _least(floor, distances, float(np.concatenate(ends).min()))
         return best
 
@@ -386,7 +394,7 @@ class Curve:
         j = (ids[:, None] * BLOCK_SIZE + _BLOCK_SPAN).ravel()
         return j[j < self.n_vertices]
 
-    def least_vertex(self, values, floor):
+    def _least_vertex(self, values, floor):
         """The first vertex with the least value, ``values(x)`` giving the
         values of vertex columns ``x`` (n, k) and ``floor[b]`` a lower bound
         on the values of block b's vertices; blocks are measured lowest floor
@@ -399,7 +407,7 @@ class Curve:
 
         return _least(floor, of_blocks)[1]
 
-    def box_distances(self, x, radius=0.0):
+    def _box_distances(self, x, radius=0.0):
         """Lower and upper bounds, per block, on the distance from ``x`` to the
         points of the block's box.  The bounds are widened by a bound on the
         rounding of the box and of a distance taken from vertex coordinates,
@@ -602,6 +610,8 @@ def make_curve(generator, samples=4096, **params):
         raise InvalidArgumentError(
             f"unknown generator {generator!r}; choose from {sorted(GENERATORS)}"
         )
+    if isinstance(samples, str) or not float(samples).is_integer():
+        raise InvalidArgumentError(f"samples must be an integer, got {samples}")
     samples = int(samples)
     if samples < MIN_SAMPLES:
         raise InvalidArgumentError(f"sample count must be >= {MIN_SAMPLES}, got {samples}")
@@ -636,10 +646,7 @@ def curve_from_spec(spec):
         return Curve(pts)
     if "generator" in spec:
         params = dict(spec.get("params", {}))
-        samples = spec.get("samples", 4096)
-        if isinstance(samples, float) and not samples.is_integer():
-            raise InvalidArgumentError(f"curve spec samples must be an integer, got {samples}")
-        return make_curve(spec["generator"], samples=int(samples), **params)
+        return make_curve(spec["generator"], samples=spec.get("samples", 4096), **params)
     raise InvalidArgumentError("curve spec needs either 'points' or 'generator'")
 
 

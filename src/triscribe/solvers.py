@@ -166,8 +166,8 @@ def _nearest_param_to_sphere(curve, sphere):
         w_sq, h = _cylinder_coords(columns, sphere)
         return np.hypot(h, np.sqrt(w_sq) - radius)
 
-    near, far = curve.box_distances(sphere.center, radius)
-    k = curve.least_vertex(distances, np.maximum(near - radius, radius - far))
+    near, far = curve._box_distances(sphere.center, radius)
+    k = curve._least_vertex(distances, np.maximum(near - radius, radius - far))
     params = curve.params
     lo = params[k - 1] if k > 0 else params[curve.n_vertices - 1] - 1.0
     hi = params[k + 1]

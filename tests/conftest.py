@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from triscribe import Curve, make_curve
-from triscribe.curve import point_segment_distance
+from triscribe.curve import point_segment_distance, point_segment_distances
 
 
 @pytest.fixture(scope="session")
@@ -45,8 +45,16 @@ def polyline_distance(curve, x):
     return float(np.linalg.norm(closest - x, axis=1).min())
 
 
-def min_distance_loop(curve, base, excluded):
-    """Reference: one ``point_segment_distance`` call per clipped retained segment."""
+def one_row_distance(x, a, b):
+    """``point_segment_distances`` on one segment: the arithmetic, and the bits,
+    of each segment that ``Curve.min_distance_excluding`` measures."""
+    return float(point_segment_distances(x, a[None, :], b[None, :])[0])
+
+
+def min_distance_loop(curve, base, excluded, distance=point_segment_distance):
+    """Reference: one ``distance`` call per clipped retained segment.  The
+    default, ``point_segment_distance``, is a formula of its own (``np.dot``,
+    ``np.linalg.norm``); ``one_row_distance`` gives the bits to expect."""
     lo, hi = excluded
     retained = [(hi, lo)] if hi <= lo else [(0.0, lo), (hi, 1.0)]
     params, pts, m = curve.params, curve.points, curve.n_vertices
@@ -59,5 +67,5 @@ def min_distance_loop(curve, base, excluded):
                 continue
             pa = pts[j] if ca == a else curve.eval(ca)
             pb = pts[(j + 1) % m] if cb == b else curve.eval(cb)
-            best = min(best, point_segment_distance(base, pa, pb))
+            best = min(best, distance(base, pa, pb))
     return best

@@ -203,6 +203,9 @@ class TestErrorPaths:
             ("gen:ellipse,a=abc", "parameter a must be a number"),
             ("gen:polygon,sides=abc", "parameter sides must be a number"),
             ("gen:u_turn,half_angle_deg=10,leg=1e", "parameter leg must be a number"),
+            ("gen:circle,foo=abc", "unknown parameter(s) foo"),
+            ("gen:nosuch,a=abc", "unknown generator 'nosuch'"),
+            ("gen:nosuch,samples=16.9", "unknown generator 'nosuch'"),
         ],
     )
     def test_unknown_generator_parameter(self, capsys, spec, word):
@@ -226,7 +229,7 @@ class TestErrorPaths:
         code = run(["check-monotone", "--curve", str(spec), "--no-timing"])
         captured = capsys.readouterr()
         assert code == EXIT_ERROR and captured.out == ""
-        assert captured.err == f"error: curve spec samples must be an integer, got {samples}\n"
+        assert captured.err == f"error: samples must be an integer, got {samples}\n"
 
     def test_whole_float_samples_in_curve_file(self, capsys, tmp_path):
         spec = tmp_path / "spec.json"

@@ -273,6 +273,8 @@ class TestJsonInterface:
     def test_rejects_fractional_samples(self, samples):
         with pytest.raises(InvalidArgumentError, match="samples must be an integer"):
             curve_from_json(json.dumps({"generator": "circle", "samples": samples}))
+        with pytest.raises(InvalidArgumentError, match="samples must be an integer"):
+            make_curve("circle", samples=samples)
 
     def test_rejects_too_few_points(self):
         with pytest.raises(InvalidArgumentError):

@@ -50,6 +50,7 @@ RATIO_SAMPLES = 1024  # points per ratio path
 SINGULAR_TOL = 1e-9  # projected distance to (1, 0) at which the curve touches the sphere
 DEDUPE_TOL = 1e-4  # parameter distance under which two found triangles are one
 BISECT_WIDTH = 1e-10  # parameter width at which bisection stops
+BISECT_DEPTH = 3  # levels of bisection midpoints per kernel call (measured: see CHANGES.md)
 MAX_NEWTON_ITERS = 100
 PAIR_BUDGET = 2048  # (node, block | vertex | segment) pairs per pass of the winding kernel
 _SEGMENT_ENDS = np.array([[0], [1]])  # offsets of a segment's start and end vertex
@@ -351,42 +352,52 @@ def _projected_windings(curve, center, radius, normal, tol):
     return winding.astype(int), singular
 
 
+def _node_windings(curve, ts, shape):
+    """Winding number and singular flag at each sweep parameter of ``ts``,
+    all from one call of the kernel, and a mask of the nodes that have a
+    sphere: a node whose swept point coincides with the base has none, and
+    its winding and flag are meaningless."""
+    base = curve.origin
+    d = curve.eval_many(ts) - base
+    # The dot product of np.linalg.norm, so that the spheres below are those
+    # of third_vertex_sphere.
+    dist = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+    live = dist >= 1e-14 * curve.extent
+    winding = np.zeros(ts.size, dtype=int)
+    singular = np.zeros(ts.size, dtype=bool)
+    if live.any():
+        d, dist = d[live], dist[live]
+        # third_vertex_sphere, one row per live node.
+        r1 = shape.ratio_oq * dist
+        r2 = shape.ratio_pq * dist
+        alpha = (r1 * r1 - r2 * r2 + dist * dist) / (2.0 * dist * dist)
+        rad_sq = r1 * r1 - alpha * alpha * dist * dist
+        if (rad_sq <= 0.0).any():
+            raise InfeasibleShapeError("side ratios admit no third vertex off the o-p line")
+        winding[live], singular[live] = _projected_windings(
+            curve, base + alpha[:, None] * d, np.sqrt(rad_sq), d / dist[:, None], SINGULAR_TOL
+        )
+    return winding, singular, live
+
+
 def _sphere_windings(curve, ts, shape):
     """Winding samples at the sweep parameters ``ts``, all from one call of
     the kernel; None for a node whose swept point coincides with the base."""
     ts = np.asarray(ts, dtype=float)
+    winding, singular, live = _node_windings(curve, ts, shape)
     base = curve.origin
-    points = curve.eval_many(ts)
-    d = points - base
-    # The dot product of np.linalg.norm, so that the spheres below are those
-    # of third_vertex_sphere.
-    dist = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
-    live = np.flatnonzero(dist >= 1e-14 * curve.extent)
-    if live.size == 0:
-        return [None] * ts.size
-    d, dist = d[live], dist[live]
-    # third_vertex_sphere, one row per live node.
-    r1 = shape.ratio_oq * dist
-    r2 = shape.ratio_pq * dist
-    alpha = (r1 * r1 - r2 * r2 + dist * dist) / (2.0 * dist * dist)
-    rad_sq = r1 * r1 - alpha * alpha * dist * dist
-    if (rad_sq <= 0.0).any():
-        raise InfeasibleShapeError("side ratios admit no third vertex off the o-p line")
-    winding, singular = _projected_windings(
-        curve, base + alpha[:, None] * d, np.sqrt(rad_sq), d / dist[:, None], SINGULAR_TOL
-    )
     samples = [None] * ts.size
-    for k, g in enumerate(live):
+    for g in np.flatnonzero(live).tolist():
         t = float(ts[g])
-        if singular[k]:
+        if singular[g]:
             # The per-node sphere, so the touch parameter (a refinement seed)
             # keeps its bits.
-            sphere = third_vertex_sphere(base, points[g], shape)
+            sphere = third_vertex_sphere(base, curve.eval(t), shape)
             samples[g] = WindingSample(
                 t=t, winding=None, singular=True, touch_param=_nearest_param_to_sphere(curve, sphere)
             )
         else:
-            samples[g] = WindingSample(t=t, winding=int(winding[k]), singular=False)
+            samples[g] = WindingSample(t=t, winding=int(winding[g]), singular=False)
     return samples
 
 
@@ -489,6 +500,47 @@ class SweepResult:
     dropped: list
 
 
+def _bisect(curve, shape, lo, hi, w_lo):
+    """Bisect the winding change between ``lo`` (winding ``w_lo``) and ``hi``
+    until the bracket is at most ``BISECT_WIDTH`` wide or a midpoint is
+    singular; ``(lo, hi, t0)`` with ``t0`` that midpoint or the bracket's,
+    or None at a midpoint whose swept point is back at the base.
+
+    The midpoints of the next ``BISECT_DEPTH`` levels depend only on the
+    current bracket, so one kernel call takes all of them (in heap order:
+    node i has children 2 i + 1 below its midpoint and 2 i + 2 above), and a
+    walk follows the path one midpoint at a time would take, stopping where
+    it would stop.  A node gets the same answer in a batch of any size, so
+    brackets and seeds are those of the one-node loop.
+    """
+    size = 2 ** BISECT_DEPTH - 1
+    while hi - lo > BISECT_WIDTH:
+        ends = [(lo, hi)]
+        for i in range(size // 2):
+            a, b = ends[i]
+            mid = 0.5 * (a + b)
+            ends += [(a, mid), (mid, b)]
+        mids = np.array([0.5 * (a + b) for a, b in ends])
+        # A node at most BISECT_WIDTH wide is never walked to.
+        wide = np.flatnonzero([b - a > BISECT_WIDTH for a, b in ends])
+        winding = np.zeros(size, dtype=int)
+        singular = np.zeros(size, dtype=bool)
+        live = np.zeros(size, dtype=bool)
+        winding[wide], singular[wide], live[wide] = _node_windings(curve, mids[wide], shape)
+        i = 0
+        while i < size and hi - lo > BISECT_WIDTH:
+            mid = float(mids[i])
+            if not live[i]:
+                return None
+            if singular[i]:
+                return lo, hi, mid
+            if winding[i] == w_lo:
+                lo, i = mid, 2 * i + 2
+            else:
+                hi, i = mid, 2 * i + 1
+    return lo, hi, 0.5 * (lo + hi)
+
+
 def sweep_similar(curve, shape, grid_size=256, epsilon=FALLBACK_EPSILON):
     """Evaluate the invariant on a grid from the near-base parameter to the
     farthest parameter, all nodes in one call of the winding kernel, and
@@ -507,50 +559,25 @@ def sweep_similar(curve, shape, grid_size=256, epsilon=FALLBACK_EPSILON):
     samples = _sphere_windings(curve, ts, shape)
     grid = [s for s in samples if s is not None]
     dropped = [float(t) for t, s in zip(ts, samples) if s is None]
-
-    def sample(t):
-        try:
-            return sphere_winding(curve, t, shape)
-        except DegenerateConfigurationError:
-            return None
-
     if len(grid) < 3:
         # Two samples sit on the provable anchor values; a change between them
         # cannot be separated from the anchors, so treat it as unresolved.
         raise NoBracketError(
             "grid too coarse to certify a bracket; increase the grid size", grid=grid
         )
-    seeds = []
+    seeds = [(s.t, s.touch_param) for s in grid if s.singular]
     bracket = None
-    for s in grid:
-        if s.singular:
-            seeds.append((s.t, s.touch_param))
     for a, b in zip(grid[:-1], grid[1:]):
-        if a.singular or b.singular:
+        if a.singular or b.singular or a.winding == b.winding:
             continue
-        if a.winding == b.winding:
+        found = _bisect(curve, shape, a.t, b.t, a.winding)
+        if found is None:
+            # A midpoint's swept point is back at the base: there is no sphere
+            # there, so the bisection cannot go on and certifies nothing.
             continue
-        lo, hi, w_lo = a.t, b.t, a.winding
-        ws = a
-        while hi - lo > BISECT_WIDTH:
-            mid = 0.5 * (lo + hi)
-            ws = sample(mid)
-            if ws is None or ws.singular:
-                break
-            if ws.winding == w_lo:
-                lo = mid
-            else:
-                hi = mid
-        if ws is None:
-            # The swept point is back at the base: there is no sphere at mid,
-            # so the bisection cannot go on and certifies nothing.
-            continue
+        lo, hi, t0 = found
         if bracket is None:
             bracket = (lo, hi)
-        if ws.singular:
-            seeds.append((ws.t, ws.touch_param))
-            continue
-        t0 = 0.5 * (lo + hi)
         sphere = third_vertex_sphere(base, curve.eval(t0), shape)
         seeds.append((t0, _nearest_param_to_sphere(curve, sphere)))
     if not seeds:

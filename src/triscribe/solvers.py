@@ -144,14 +144,31 @@ class WindingSample:
         return "singular" if self.singular else "ok"
 
 
+def _sphere_distances(x, center, radius, normal):
+    """Distance from each point x[:, j] of ``x`` (n, k) to the sphere of
+    column j of ``center`` and ``normal`` (n, k) and entry j of ``radius``;
+    a sphere's columns may be (n, 1) and its radius a number, to measure k
+    points against one sphere.  With v = x - center and h = v . normal, the
+    distance is hypot(h, |v - h normal| - r).  The dot products are summed
+    axis by axis, first to last, and every step is entrywise, so a point
+    gets the same bits alone and among any number of others."""
+    v = x[0] - center[0]
+    h = v * normal[0]
+    sq = v * v
+    for i in range(1, x.shape[0]):
+        v = x[i] - center[i]
+        h += v * normal[i]
+        sq += v * v
+    return np.hypot(h, np.sqrt(np.maximum(sq - h * h, 0.0)) - radius)
+
+
 def _sphere_distance_fn(curve, sphere):
-    center, radius, normal = sphere.center, sphere.radius, sphere.normal
+    """The distance from the curve point at t to ``sphere``: the one-row form
+    of ``_sphere_distances``."""
+    center, normal = sphere.center[:, None], sphere.normal[:, None]
 
     def dist(t):
-        v = curve.eval(t) - center
-        h = float(np.dot(v, normal))
-        w_sq = max(float(np.dot(v, v)) - h * h, 0.0)
-        return math.hypot(h, math.sqrt(w_sq) - radius)
+        return float(_sphere_distances(curve.eval(t)[:, None], center, sphere.radius, normal)[0])
 
     return dist
 
@@ -162,10 +179,10 @@ def _nearest_param_to_sphere(curve, sphere):
     farther.  A point x lies at least ||x - center| - r| from the sphere,
     which bounds each block from below for the vertex pass."""
     radius = sphere.radius
+    center, normal = sphere.center[:, None], sphere.normal[:, None]
 
     def distances(columns):
-        w_sq, h = _cylinder_coords(columns, sphere)
-        return np.hypot(h, np.sqrt(w_sq) - radius)
+        return _sphere_distances(columns, center, radius, normal)
 
     near, far = curve._box_distances(sphere.center, radius)
     k = curve._least_vertex(distances, np.maximum(near - radius, radius - far))

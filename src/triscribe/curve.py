@@ -233,8 +233,8 @@ class Curve:
         ts = np.asarray(ts, dtype=float)
         u = np.mod(ts, 1.0)
         m = self.n_vertices
-        k = np.searchsorted(self._params, u, side="right") - 1
-        k = np.clip(k, 0, m - 1)
+        # u lies in [0, 1] (or is NaN), so only the top needs a cap.
+        k = np.minimum(np.searchsorted(self._params, u, side="right") - 1, m - 1)
         t0 = self._params[k]
         span = self._params[k + 1] - t0
         alpha = (u - t0) / span
@@ -407,40 +407,60 @@ class Curve:
 
         return _least(floor, of_blocks)[1]
 
-    def _box_distances(self, x, radius=0.0):
+    def _box_distances(self, x):
         """Lower and upper bounds, per block, on the distance from ``x`` to the
         points of the block's box.  The bounds are widened by a bound on the
-        rounding of the box and of a distance taken from vertex coordinates,
-        and of one compared with ``radius``."""
+        rounding of the box and of a distance taken from vertex coordinates."""
         mid, half = self.blocks
         lower, upper = self.bounds
         gap = np.abs(mid - x[:, None])
         near = np.sqrt((np.maximum(gap - half, 0.0) ** 2).sum(axis=0))
         far = np.sqrt(((gap + half) ** 2).sum(axis=0))
         # Every rounding error of those is a few ulps of the sizes below.
-        reach = float(np.linalg.norm(np.maximum(-lower, upper)) + np.linalg.norm(x)) + radius
+        reach = float(np.linalg.norm(np.maximum(-lower, upper)) + np.linalg.norm(x))
         slack = (self.dimension + 8) * 2.0 ** -50 * reach
         return near - slack, far + slack
 
 
 def _golden_max(f, lo, hi, iters=80):
-    """Golden-section search for a maximum of f on [lo, hi]."""
-    a, b = float(lo), float(hi)
+    """Golden-section search for a maximum of f on [lo, hi], entry by entry.
+
+    ``lo`` and ``hi`` are numbers or arrays of one shape; ``f`` maps an array
+    of points of that shape to their values.  Each entry takes the steps a
+    search on it alone would take and stops once its bracket is narrower
+    than 1e-14, so a scalar search keeps its bits in a batch of any size.
+    """
+    shape = np.shape(lo)
+    a = np.array(lo, dtype=float).ravel()
+    b = np.array(hi, dtype=float).ravel()
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
+    fc = np.array(f(c.reshape(shape)), dtype=float).ravel()
+    fd = np.array(f(d.reshape(shape)), dtype=float).ravel()
+    live = np.ones(a.shape, dtype=bool)
     for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-        if b - a < 1e-14:
+        # A live entry with fc >= fd keeps [a, d]: d becomes c and a new c is
+        # probed.  Otherwise it keeps [c, b]: c becomes d and a new d is probed.
+        left = fc >= fd
+        to_left = live & left
+        to_right = live ^ to_left
+        np.copyto(b, d, where=to_left)
+        np.copyto(d, c, where=to_left)
+        np.copyto(fd, fc, where=to_left)
+        np.copyto(a, c, where=to_right)
+        np.copyto(c, d, where=to_right)
+        np.copyto(fc, fd, where=to_right)
+        step = _GOLDEN * (b - a)
+        probe = np.where(left, b - step, a + step)
+        value = np.reshape(f(probe.reshape(shape)), a.shape)
+        np.copyto(c, probe, where=to_left)
+        np.copyto(fc, value, where=to_left)
+        np.copyto(d, probe, where=to_right)
+        np.copyto(fd, value, where=to_right)
+        live &= ~(b - a < 1e-14)
+        if not live.any():
             break
-    return 0.5 * (a + b)
+    return (0.5 * (a + b)).reshape(shape)
 
 
 # -- generators ------------------------------------------------------------

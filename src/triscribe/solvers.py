@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curve import BLOCK_SIZE, _golden_max, point_segment_distances, row_norms
+from .curve import _BLOCK_SPAN, BLOCK_SIZE, _golden_max, point_segment_distances, row_norms
 from .errors import (
     DegenerateConfigurationError,
     InfeasibleShapeError,
@@ -162,38 +162,100 @@ def _sphere_distances(x, center, radius, normal):
     return np.hypot(h, np.sqrt(np.maximum(sq - h * h, 0.0)) - radius)
 
 
-def _sphere_distance_fn(curve, sphere):
-    """The distance from the curve point at t to ``sphere``: the one-row form
-    of ``_sphere_distances``."""
-    center, normal = sphere.center[:, None], sphere.normal[:, None]
+def _nearest_vertices(curve, center, radius, normal):
+    """Index of the first vertex nearest each sphere (column of ``center``
+    and ``normal`` (n, G), entry of ``radius``), in distances of
+    ``_sphere_distances``.
+
+    A point x lies at least ||x - center| - r| and at least |h| from the
+    sphere.  Over a block's box of the curve's block index both are bounded
+    below, widened by a bound on the rounding of the box, of the distances
+    and of the dot products, which gives a floor for each (sphere, block)
+    pair.  The vertices of each sphere's block of lowest floor give a least
+    distance so far, and every block whose floor does not exceed it is
+    measured: only blocks that can hold the least distance, so the pruning
+    does not change the result.  Spheres are taken in chunks and the
+    measured blocks in slices, so that no pass holds more than
+    ``PAIR_BUDGET`` (sphere, block) or (sphere, vertex) pairs.
+    """
+    m = curve.n_vertices
+    columns = curve.columns
+    lower, upper = curve.bounds
+    mid, half = curve.blocks
+    n, count = center.shape
+    reach = float(np.linalg.norm(np.maximum(-lower, upper))) + row_norms(center.T) + radius
+    slack = (n + 8) * 2.0 ** -50 * reach
+    offset = (normal * center).sum(axis=0)
+
+    def measured(node, block):
+        """Distances of the vertices of each (sphere, block) pair, with
+        their spheres and vertex indices, in pair order."""
+        j = (block[:, None] * BLOCK_SIZE + _BLOCK_SPAN).ravel()
+        g = np.repeat(node, BLOCK_SIZE)
+        real = j < m
+        j, g = j[real], g[real]
+        return _sphere_distances(columns[:, j], center[:, g], radius[g], normal[:, g]), g, j
+
+    best = np.full(count, math.inf)
+    nearest = np.zeros(count, dtype=int)
+    chunk = max(1, PAIR_BUDGET // max(mid.shape[1], BLOCK_SIZE))
+    per_slice = max(1, PAIR_BUDGET // BLOCK_SIZE)
+    for g0 in range(0, count, chunk):
+        g1 = min(g0 + chunk, count)
+        gap = np.abs(mid[:, None, :] - center[:, g0:g1, None])
+        near = np.sqrt((np.maximum(gap - half[:, None, :], 0.0) ** 2).sum(axis=0))
+        far = np.sqrt(((gap + half[:, None, :]) ** 2).sum(axis=0))
+        r = radius[g0:g1, None]
+        plane = np.abs(normal[:, g0:g1].T @ mid - offset[g0:g1, None])
+        plane -= np.abs(normal[:, g0:g1].T) @ half
+        floor = np.maximum(np.maximum(near - r, r - far), plane) - slack[g0:g1, None]
+        first, g, _ = measured(np.arange(g0, g1), np.argmin(floor, axis=1))
+        least = np.minimum.reduceat(first, np.flatnonzero(np.r_[True, g[1:] != g[:-1]]))
+        node, block = np.nonzero(floor <= least[:, None])
+        node += g0
+        # Pairs come sphere by sphere, blocks ascending, so each sphere's
+        # vertices come in ascending order and a later slice can only win
+        # with a smaller distance.
+        for s0 in range(0, node.size, per_slice):
+            dist, g, j = measured(node[s0:s0 + per_slice], block[s0:s0 + per_slice])
+            order = np.lexsort((j, dist, g))
+            lead = order[np.r_[True, g[order][1:] != g[order][:-1]]]
+            win = dist[lead] < best[g[lead]]
+            best[g[lead[win]]] = dist[lead[win]]
+            nearest[g[lead[win]]] = j[lead[win]]
+    return nearest
+
+
+def _nearest_params(curve, center, radius, normal):
+    """Curve parameter nearest each sphere (column of ``center`` and
+    ``normal`` (n, G), entry of ``radius``): its nearest vertex, then a
+    golden-section pass over the vertex's two segments that replaces it
+    unless farther, one pass for all spheres."""
+    params = curve.params
+    k = _nearest_vertices(curve, center, radius, normal)
 
     def dist(t):
-        return float(_sphere_distances(curve.eval(t)[:, None], center, sphere.radius, normal)[0])
+        return _sphere_distances(curve.eval_many(t).T, center, radius, normal)
 
-    return dist
+    lo = np.where(k > 0, params[k - 1], params[curve.n_vertices - 1] - 1.0)
+    t_star = _golden_max(lambda t: -dist(t), lo, params[k + 1])
+    t_star = np.where(dist(t_star) > dist(params[k]), params[k], t_star)
+    return np.mod(t_star, 1.0)
 
 
-def _nearest_param_to_sphere(curve, sphere):
-    """Curve parameter nearest the sphere: the nearest vertex, then a
-    golden-section pass over its two segments that replaces it unless
-    farther.  A point x lies at least ||x - center| - r| from the sphere,
-    which bounds each block from below for the vertex pass."""
-    radius = sphere.radius
-    center, normal = sphere.center[:, None], sphere.normal[:, None]
-
-    def distances(columns):
-        return _sphere_distances(columns, center, radius, normal)
-
-    near, far = curve._box_distances(sphere.center, radius)
-    k = curve._least_vertex(distances, np.maximum(near - radius, radius - far))
-    params = curve.params
-    lo = params[k - 1] if k > 0 else params[curve.n_vertices - 1] - 1.0
-    hi = params[k + 1]
-    dist = _sphere_distance_fn(curve, sphere)
-    t_star = _golden_max(lambda t: -dist(t), lo, hi)
-    if dist(t_star) > dist(params[k]):
-        t_star = params[k]
-    return float(np.mod(t_star, 1.0))
+def _touch_params(curve, ts, shape):
+    """Touch parameters of the candidate spheres at sweep parameters ``ts``
+    (a list), all from one pass of ``_nearest_params``.  Each sphere is
+    third_vertex_sphere's, so a touch parameter (a refinement seed) has the
+    same bits whichever nodes share its pass."""
+    if not ts:
+        return []
+    base = curve.origin
+    spheres = [third_vertex_sphere(base, p, shape) for p in curve.eval_many(ts)]
+    center = np.array([s.center for s in spheres]).T
+    normal = np.array([s.normal for s in spheres]).T
+    radius = np.array([s.radius for s in spheres])
+    return _nearest_params(curve, center, radius, normal).tolist()
 
 
 def _cylinder_coords(columns, sphere):
@@ -402,17 +464,12 @@ def _sphere_windings(curve, ts, shape):
     the kernel; None for a node whose swept point coincides with the base."""
     ts = np.asarray(ts, dtype=float)
     winding, singular, live = _node_windings(curve, ts, shape)
-    base = curve.origin
+    touch = iter(_touch_params(curve, ts[live & singular].tolist(), shape))
     samples = [None] * ts.size
     for g in np.flatnonzero(live).tolist():
         t = float(ts[g])
         if singular[g]:
-            # The per-node sphere, so the touch parameter (a refinement seed)
-            # keeps its bits.
-            sphere = third_vertex_sphere(base, curve.eval(t), shape)
-            samples[g] = WindingSample(
-                t=t, winding=None, singular=True, touch_param=_nearest_param_to_sphere(curve, sphere)
-            )
+            samples[g] = WindingSample(t=t, winding=None, singular=True, touch_param=next(touch))
         else:
             samples[g] = WindingSample(t=t, winding=int(winding[g]), singular=False)
     return samples
@@ -584,6 +641,7 @@ def sweep_similar(curve, shape, grid_size=256, epsilon=FALLBACK_EPSILON):
         )
     seeds = [(s.t, s.touch_param) for s in grid if s.singular]
     bracket = None
+    seed_ts = []
     for a, b in zip(grid[:-1], grid[1:]):
         if a.singular or b.singular or a.winding == b.winding:
             continue
@@ -595,8 +653,8 @@ def sweep_similar(curve, shape, grid_size=256, epsilon=FALLBACK_EPSILON):
         lo, hi, t0 = found
         if bracket is None:
             bracket = (lo, hi)
-        sphere = third_vertex_sphere(base, curve.eval(t0), shape)
-        seeds.append((t0, _nearest_param_to_sphere(curve, sphere)))
+        seed_ts.append(t0)
+    seeds += zip(seed_ts, _touch_params(curve, seed_ts, shape))
     if not seeds:
         raise NoBracketError(
             "no invariant change found on the sweep grid; increase the grid size",

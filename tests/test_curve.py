@@ -304,3 +304,49 @@ class TestGenerators:
     def test_sample_floor(self):
         with pytest.raises(InvalidArgumentError):
             make_curve("circle", samples=8)
+
+
+def scalar_golden_max(f, lo, hi, iters=80):
+    """The one-bracket golden-section search, written plainly on floats."""
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = float(lo), float(hi)
+    c = b - ratio * (b - a)
+    d = a + ratio * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - ratio * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + ratio * (b - a)
+            fd = f(d)
+        if b - a < 1e-14:
+            break
+    return 0.5 * (a + b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 12), kind=st.sampled_from(["vee", "bowl", "wave"]))
+def test_golden_max_batch_is_each_scalar_search(seed, count, kind):
+    """A batch of brackets, from 1e-13 to 10 wide (so entries stop after
+    different numbers of steps), gives each entry the bits of the plain
+    scalar search, and so does a scalar call."""
+    from triscribe.curve import _golden_max
+
+    rng = np.random.default_rng(seed)
+    lo = rng.standard_normal(count)
+    hi = lo + 10.0 ** rng.uniform(-13.0, 1.0, count)
+    peak = lo + (hi - lo) * rng.uniform(-0.2, 1.2, count)
+    shapes = {
+        "vee": lambda x, p: -np.abs(x - p),
+        "bowl": lambda x, p: -((x - p) ** 2),
+        "wave": lambda x, p: np.cos(7.0 * x + p),
+    }
+    f = shapes[kind]
+    batch = _golden_max(lambda x: f(x, peak), lo, hi)
+    for g in range(count):
+        want = scalar_golden_max(lambda x: float(f(x, peak[g])), lo[g], hi[g])
+        assert batch[g] == want
+        assert _golden_max(lambda x: float(f(x, peak[g])), lo[g], hi[g]) == want

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from triscribe import Curve
 from triscribe.curve import BLOCK_SIZE
 from triscribe.frames import Sphere
-from triscribe.solvers import _nearest_param_to_sphere, _param_at_distance
+from triscribe.solvers import _nearest_params, _nearest_vertices, _param_at_distance, _sphere_distances
 
 from conftest import min_distance_loop, one_row_distance
 
@@ -146,16 +146,58 @@ def sphere_distance(x, sphere):
     return math.hypot(h, w - sphere.radius)
 
 
-@settings(max_examples=EXAMPLES, deadline=None)
-@given(drawn=curves(), radius=st.floats(0.05, 3.0), near_curve=st.booleans())
-def test_nearest_param_is_no_farther_than_the_nearest_vertex(drawn, radius, near_curve):
-    curve, rng, scale = drawn
+def random_spheres(curve, rng, scale, radius, near_curve, count):
+    """``count`` spheres as (n, G) centers, G radii and (n, G) normals: the
+    first of radius ``radius`` (times ``scale``), the others up to twice or
+    half that; centers on the curve or scattered around the origin."""
     n = curve.dimension
-    center = curve.eval(rng.random()) if near_curve else scale * rng.standard_normal(n)
-    normal = rng.standard_normal(n)
-    sphere = Sphere(center, scale * radius, normal / np.linalg.norm(normal), n)
-    t = _nearest_param_to_sphere(curve, sphere)
-    best_vertex = min(sphere_distance(x, sphere) for x in curve.points)
-    slack = 1e-12 * (np.linalg.norm(center) + sphere.radius + curve.extent)
-    assert 0.0 <= t < 1.0
-    assert sphere_distance(curve.eval(t), sphere) <= best_vertex + slack
+    if near_curve:
+        center = curve.eval_many(rng.random(count)).T
+    else:
+        center = scale * rng.standard_normal((n, count))
+    normal = rng.standard_normal((n, count))
+    normal /= np.linalg.norm(normal, axis=0)
+    radii = scale * radius * np.r_[1.0, 2.0 ** rng.uniform(-1.0, 1.0, count - 1)]
+    return np.ascontiguousarray(center), radii, normal
+
+
+def one_row(columns, g):
+    return columns[:, g:g + 1]
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(drawn=curves(), radius=st.floats(0.05, 3.0), near_curve=st.booleans(), count=st.integers(1, 6))
+def test_nearest_param_is_no_farther_than_the_nearest_vertex(drawn, radius, near_curve, count):
+    """The touch pass of several spheres at once, and of each alone."""
+    curve, rng, scale = drawn
+    center, radii, normal = random_spheres(curve, rng, scale, radius, near_curve, count)
+    batched = _nearest_params(curve, center, radii, normal)
+    for g in range(count):
+        sphere = Sphere(center[:, g], radii[g], normal[:, g], curve.dimension)
+        (alone,) = _nearest_params(curve, one_row(center, g), radii[g:g + 1], one_row(normal, g))
+        best_vertex = min(sphere_distance(x, sphere) for x in curve.points)
+        slack = 1e-12 * (np.linalg.norm(sphere.center) + sphere.radius + curve.extent)
+        for t in (batched[g], alone):
+            assert 0.0 <= t < 1.0
+            assert sphere_distance(curve.eval(t), sphere) <= best_vertex + slack
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(drawn=curves(), radius=st.floats(0.05, 3.0), near_curve=st.booleans(), count=st.integers(2, 6))
+def test_batched_touch_pass_is_the_one_row_form(drawn, radius, near_curve, count):
+    """Several spheres in one pass give each sphere's bits alone: the sphere
+    distances, the nearest vertex (the first least distance over every
+    vertex, with no pruning) and the touch parameter."""
+    curve, rng, scale = drawn
+    center, radii, normal = random_spheres(curve, rng, scale, radius, near_curve, count)
+    ts = rng.random(count)
+    points = curve.eval_many(ts).T
+    distances = _sphere_distances(points, center, radii, normal)
+    nearest = _nearest_vertices(curve, center, radii, normal)
+    params = _nearest_params(curve, center, radii, normal)
+    for g in range(count):
+        c, r, nrm = one_row(center, g), radii[g], one_row(normal, g)
+        assert _sphere_distances(one_row(points, g), c, r, nrm)[0] == distances[g]
+        every_vertex = _sphere_distances(curve.columns, c, r, nrm)
+        assert nearest[g] == int(np.argmin(every_vertex))
+        assert _nearest_params(curve, c, radii[g:g + 1], nrm)[0] == params[g]

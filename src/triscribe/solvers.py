@@ -39,7 +39,7 @@ from .errors import (
 )
 from .frames import Sphere, third_vertex_sphere
 from .shape import equilateral_shape, residuals
-from .winding import PlanarPath, winding_closed
+from .winding import PlanarPath, angle_increments, integer_winding
 
 # Window half-widths scanned for a certified angle or monotone condition, and
 # the window used when no rung passes.
@@ -891,9 +891,43 @@ def _ratio_loop(path_far, path_near):
     return PlanarPath(pts, closed=True)
 
 
-def _loop_winding(curve, path_far, s, samples):
-    loop = _ratio_loop(path_far, ratio_path(curve, s, samples))
-    return winding_closed(loop, np.zeros(2))
+@dataclass(frozen=True)
+class _FarHalf:
+    """What every reference loop of a solve takes from the far-anchor path:
+    its vertices, their distances from the origin, its bounding box and the
+    turns of its segments around the origin."""
+
+    points: np.ndarray
+    radii: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    turns: list
+
+    @classmethod
+    def of(cls, path_far):
+        pts = path_far.points
+        return cls(pts, np.hypot(pts[:, 0], pts[:, 1]), pts.min(axis=0), pts.max(axis=0),
+                   angle_increments(pts))
+
+
+def _loop_winding(curve, far, s, samples):
+    """``winding_closed`` around the origin of ``_ratio_loop`` of the far
+    path (``far``, a ``_FarHalf``) and the near path at anchor ``s``, with
+    the same bits and errors.  Only the near path's turns and those of the
+    two junction segments are taken here.  The vertex tolerance comes from
+    the union of the two halves' boxes, and math.fsum is exactly rounded
+    whatever the order of the turns, so the sum is the whole loop's."""
+    near = ratio_path(curve, s, samples).points[::-1]
+    span = np.maximum(far.upper, near.max(axis=0)) - np.minimum(far.lower, near.min(axis=0))
+    tol = 1e-12 * max(float(np.hypot(span[0], span[1])), 1e-300)
+    radii = np.concatenate([far.radii, np.hypot(near[:, 0], near[:, 1])])
+    hits = np.flatnonzero(radii <= tol)
+    if hits.size:
+        raise SingularPathError(
+            f"path vertex {hits[0]} lies on the winding base", index=int(hits[0])
+        )
+    ends = np.vstack([far.points[-1:], near, far.points[:1]])
+    return integer_winding(math.fsum(far.turns + angle_increments(ends)) / (2.0 * math.pi))
 
 
 @dataclass
@@ -944,9 +978,9 @@ def solve_equilateral(curve, base_param=0.0, residual_tol=1e-9):
             f"farthest parameter {s_far:.6g} does not precede the near anchor {s_near:.6g}"
         )
     m = RATIO_SAMPLES
-    path_far = ratio_path(work, s_far, m)
+    far = _FarHalf.of(ratio_path(work, s_far, m))
     try:
-        loop_w = _loop_winding(work, path_far, s_near, m)
+        loop_w = _loop_winding(work, far, s_near, m)
     except (SingularPathError, NumericalDegeneracyError):
         loop_w = None
     if loop_w != 1:
@@ -959,7 +993,7 @@ def solve_equilateral(curve, base_param=0.0, residual_tol=1e-9):
     while hi - lo > BISECT_WIDTH:
         mid = 0.5 * (lo + hi)
         try:
-            w_mid = _loop_winding(work, path_far, mid, m)
+            w_mid = _loop_winding(work, far, mid, m)
         except (SingularPathError, NumericalDegeneracyError):
             s_hit = mid
             break

@@ -74,25 +74,34 @@ def angle_sweep(path, base, tol=None):
     v = _relative(path, base, tol)
     if path.closed:
         v = np.vstack([v, v[:1]])
+    return math.fsum(angle_increments(v)) / (2.0 * math.pi)
+
+
+def angle_increments(v):
+    """The turn, atan2(cross, dot), from each row of ``v`` (positions
+    relative to the base) to the next, as a list."""
     x0, y0 = v[:-1, 0], v[:-1, 1]
     x1, y1 = v[1:, 0], v[1:, 1]
     cross = x0 * y1 - y0 * x1
     dot = x0 * x1 + y0 * y1
-    increments = np.arctan2(cross, dot)
-    return math.fsum(increments.tolist()) / (2.0 * math.pi)
+    return np.arctan2(cross, dot).tolist()
 
 
-def winding_closed(path, base, tol=None):
-    """Integer winding number of a closed path around ``base``."""
-    if not path.closed:
-        raise InvalidArgumentError("winding_closed needs a closed path")
-    sweep = angle_sweep(path, base, tol=tol)
+def integer_winding(sweep):
+    """The integer a closed path's angle sweep (in full turns) rounds to."""
     nearest = round(sweep)
     if abs(sweep - nearest) >= ROUNDING_SLACK:
         raise NumericalDegeneracyError(
             f"angle sweep {sweep!r} is not close to an integer; refine the path"
         )
     return int(nearest)
+
+
+def winding_closed(path, base, tol=None):
+    """Integer winding number of a closed path around ``base``."""
+    if not path.closed:
+        raise InvalidArgumentError("winding_closed needs a closed path")
+    return integer_winding(angle_sweep(path, base, tol=tol))
 
 
 def segment_distances(path, base):

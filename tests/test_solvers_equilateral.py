@@ -3,7 +3,10 @@ import pytest
 
 from triscribe import (
     Curve,
+    NumericalDegeneracyError,
+    PlanarPath,
     RefineFailedError,
+    SingularPathError,
     check_strong_monotone,
     equilateral_shape,
     make_curve,
@@ -12,6 +15,7 @@ from triscribe import (
     winding_closed,
 )
 from triscribe.oracle import brute_force_similar
+from triscribe import solvers
 from triscribe.solvers import _ratio_loop
 
 from conftest import pair_distance_unordered
@@ -139,3 +143,67 @@ class TestScaleFreeAcceptance:
         assert outcome.warnings == expected.warnings == []
         assert abs(outcome.triangle.t_p - expected.triangle.t_p) < 1e-9
         assert abs(outcome.triangle.t_q - expected.triangle.t_q) < 1e-9
+
+
+def loop_outcome(fn):
+    """The winding, or the error type and the index of a singular vertex."""
+    try:
+        return fn()
+    except SingularPathError as exc:
+        return ("singular", exc.index)
+    except NumericalDegeneracyError:
+        return ("not-an-integer", None)
+
+
+@pytest.mark.parametrize("gen,kwargs,base", [
+    ("circle", {}, 0.0),
+    ("ellipse", {"a": 2, "b": 1}, 0.375),
+    ("fourier", {"seed": 1}, 0.0),
+    ("fourier", {"seed": 3}, 0.625),
+    ("trefoil", {}, 0.0),
+    ("tilted_circle_nd", {"n": 3}, 0.5),
+    ("polygon", {"sides": 5}, 0.125),
+    ("corner_wedge", {}, 0.0),
+    ("u_turn", {}, 0.0),
+])
+def test_loop_winding_is_winding_closed_of_the_loop(monkeypatch, gen, kwargs, base):
+    """The far half taken once per solve gives every loop the winding (or
+    the error) ``winding_closed`` gives the whole loop: at every anchor the
+    solver's bisection tries, and at anchors spread from the far anchor to
+    the near one."""
+    calls = []
+    loop_winding = solvers._loop_winding
+
+    def recorded(curve, far, s, samples):
+        calls.append((curve, far, s, samples))
+        return loop_winding(curve, far, s, samples)
+
+    monkeypatch.setattr(solvers, "_loop_winding", recorded)
+    try:
+        solve_equilateral(make_curve(gen, samples=4096, **kwargs), base_param=base)
+    except RefineFailedError:
+        pass  # the folded u_turn: the bisection ran, the refinement failed
+    work, far, s_near, samples = calls[0]
+    path_far = PlanarPath(far.points)
+    s_far = work.farthest_param(work.origin)
+    spread = np.linspace(s_far, s_near, 41)[1:-1].tolist()
+    for s in [s for _, _, s, _ in calls] + spread:
+        loop = _ratio_loop(path_far, ratio_path(work, s, samples))
+        want = loop_outcome(lambda: winding_closed(loop, ORIGIN))
+        assert loop_outcome(lambda: loop_winding(work, far, s, samples)) == want, s
+    assert len(calls) > 30
+
+
+def test_loop_winding_singular_vertex_matches_winding_closed():
+    """Anchored at vertex B of a curve through the equilateral apex A over
+    (0, 0) and B = (1, 0), with A the midpoint in parameter, the near path
+    sample at t = 1/2 is A itself, which maps to the origin: both forms
+    raise SingularPathError at the same loop vertex."""
+    curve = Curve([(0.0, 0.0), (0.5, np.sqrt(3.0) / 2.0), (1.0, 0.0), (1.0, -1.0), (0.0, -1.0)])
+    samples = 1025
+    s = float(curve.params[2])
+    path_far = ratio_path(curve, 0.7, samples)
+    loop = _ratio_loop(path_far, ratio_path(curve, s, samples))
+    want = loop_outcome(lambda: winding_closed(loop, ORIGIN))
+    assert want == ("singular", samples + samples // 2)
+    assert loop_outcome(lambda: solvers._loop_winding(curve, solvers._FarHalf.of(path_far), s, samples)) == want

@@ -57,11 +57,6 @@ _SEGMENT_ENDS = np.array([[0], [1]])  # offsets of a segment's start and end ver
 _PROJECTION_BASE = np.array([1.0, 0.0])  # the point the projected curve winds around
 
 
-def _param_distance(a, b):
-    d = abs(a - b) % 1.0
-    return min(d, 1.0 - d)
-
-
 # -- angle condition ---------------------------------------------------------
 
 
@@ -771,14 +766,18 @@ class SimilarOutcome:
 
 
 def _dedupe(triangles, tol):
+    """The triangles in (t_p, t_q) order, less each one within ``tol`` of a
+    kept one in both parameters (modulo 1); each is compared with all the
+    kept ones in one array expression."""
     kept = []
+    kept_p, kept_q = np.empty(len(triangles)), np.empty(len(triangles))
     for tri in sorted(triangles, key=lambda tr: (tr.t_p, tr.t_q)):
-        if any(
-            _param_distance(tri.t_p, other.t_p) <= tol
-            and _param_distance(tri.t_q, other.t_q) <= tol
-            for other in kept
-        ):
+        k = len(kept)
+        dp = np.abs(tri.t_p - kept_p[:k]) % 1.0
+        dq = np.abs(tri.t_q - kept_q[:k]) % 1.0
+        if np.any((np.minimum(dp, 1.0 - dp) <= tol) & (np.minimum(dq, 1.0 - dq) <= tol)):
             continue
+        kept_p[k], kept_q[k] = tri.t_p, tri.t_q
         kept.append(tri)
     return kept
 

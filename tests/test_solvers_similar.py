@@ -672,3 +672,42 @@ class TestThreadCap:
         assert [(s.t, s.winding) for s in fallback.grid] == [
             (s.t, s.winding) for s in serial.grid
         ]
+
+
+def pairwise_dedupe(triangles, tol):
+    """The plain form of ``_dedupe``: each triangle against each kept one."""
+
+    def param_distance(a, b):
+        d = abs(a - b) % 1.0
+        return min(d, 1.0 - d)
+
+    kept = []
+    for tri in sorted(triangles, key=lambda tr: (tr.t_p, tr.t_q)):
+        if not any(
+            param_distance(tri.t_p, other.t_p) <= tol and param_distance(tri.t_q, other.t_q) <= tol
+            for other in kept
+        ):
+            kept.append(tri)
+    return kept
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_dedupe_is_the_pairwise_comparison(seed):
+    """Clusters of near-duplicates, some across parameter 0 = 1, pairs at
+    exactly the tolerance and a continuum-like run of distinct triangles:
+    the same triangles, in the same order."""
+    from types import SimpleNamespace
+
+    rng = np.random.default_rng(seed)
+    params = rng.random((40, 2))
+    near = params[rng.integers(0, 40, 30)]
+    near += rng.choice([-1.5, -0.5, 0.0, 0.5, 1.0, 1.5], near.shape) * solvers.DEDUPE_TOL
+    edge = np.array([[1e-5, 0.5], [1.0 - 5e-5, 0.5], [0.25, 0.25], [0.25 + 1e-4, 0.25]])
+    run = np.column_stack([np.linspace(0.3, 0.31, 64), np.linspace(0.7, 0.69, 64)])
+    triangles = [SimpleNamespace(t_p=float(p), t_q=float(q))
+                 for p, q in np.vstack([params, near % 1.0, edge, run])]
+    rng.shuffle(triangles)
+    got = solvers._dedupe(triangles, solvers.DEDUPE_TOL)
+    want = pairwise_dedupe(triangles, solvers.DEDUPE_TOL)
+    assert [id(t) for t in got] == [id(t) for t in want]
+    assert solvers._dedupe([], solvers.DEDUPE_TOL) == []

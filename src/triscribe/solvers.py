@@ -571,9 +571,9 @@ class SweepResult:
 
 def _bisect(curve, shape, lo, hi, w_lo):
     """Bisect the winding change between ``lo`` (winding ``w_lo``) and ``hi``
-    until the bracket is at most ``BISECT_WIDTH`` wide or a midpoint is
-    singular; ``(lo, hi, t0)`` with ``t0`` that midpoint or the bracket's,
-    or None at a midpoint whose swept point is back at the base.
+    until the bracket is at most ``BISECT_WIDTH`` wide or its midpoint is
+    singular; the bracket ``(lo, hi)``, or None at a midpoint whose swept
+    point is back at the base.
 
     The midpoints of the next ``BISECT_DEPTH`` levels depend only on the
     current bracket, so one kernel call takes all of them (in heap order:
@@ -602,12 +602,12 @@ def _bisect(curve, shape, lo, hi, w_lo):
             if not live[i]:
                 return None
             if singular[i]:
-                return lo, hi, mid
+                return lo, hi
             if winding[i] == w_lo:
                 lo, i = mid, 2 * i + 2
             else:
                 hi, i = mid, 2 * i + 1
-    return lo, hi, 0.5 * (lo + hi)
+    return lo, hi
 
 
 def sweep_similar(curve, shape, grid_size=256, epsilon=FALLBACK_EPSILON):
@@ -645,10 +645,11 @@ def sweep_similar(curve, shape, grid_size=256, epsilon=FALLBACK_EPSILON):
             # A midpoint's swept point is back at the base: there is no sphere
             # there, so the bisection cannot go on and certifies nothing.
             continue
-        lo, hi, t0 = found
         if bracket is None:
-            bracket = (lo, hi)
-        seed_ts.append(t0)
+            bracket = found
+        # The seed is the bracket's midpoint, where the singular midpoint is
+        # when one stopped the bisection.
+        seed_ts.append(0.5 * (found[0] + found[1]))
     seeds += zip(seed_ts, _touch_params(curve, seed_ts, shape))
     if not seeds:
         raise NoBracketError(

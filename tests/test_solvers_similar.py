@@ -197,6 +197,58 @@ def test_kernel_matches_rotated_reference(name, kwargs, base, angles):
     assert_kernel_matches_reference(curve, shape_from_degrees(*angles))
 
 
+def sequential_bisection(curve, shape, grid):
+    """The one-midpoint-per-kernel-call bisection the sweep's tree replaces,
+    on the sweep's grid: its bracket and seeds.  A singular midpoint gives
+    the seed ``sphere_winding`` gives it; a bracket that reaches the width
+    gives its midpoint and a one-row touch pass."""
+    seeds = [(s.t, s.touch_param) for s in grid if s.singular]
+    bracket = None
+    for a, b in zip(grid[:-1], grid[1:]):
+        if a.singular or b.singular or a.winding == b.winding:
+            continue
+        lo, hi = a.t, b.t
+        while hi - lo > solvers.BISECT_WIDTH:
+            mid = 0.5 * (lo + hi)
+            try:
+                sample = sphere_winding(curve, mid, shape)
+            except DegenerateConfigurationError:
+                seed = "base"  # no sphere there: no bracket, no seed
+                break
+            if sample.singular:
+                seed = (sample.t, sample.touch_param)
+                break
+            lo, hi = (mid, hi) if sample.winding == a.winding else (lo, mid)
+        else:
+            t0 = 0.5 * (lo + hi)
+            seed = (t0, solvers._touch_params(curve, [t0], shape)[0])
+        if seed != "base":
+            bracket = bracket or (lo, hi)
+            seeds.append(seed)
+    return bracket, seeds
+
+
+@pytest.mark.parametrize("width", [solvers.BISECT_WIDTH, 1e-6])
+@pytest.mark.parametrize("name,kwargs,base,angles", KERNEL_CASES)
+def test_bisection_tree_is_the_sequential_bisection(monkeypatch, name, kwargs, base, angles, width):
+    """At every tree depth from 1 to 6, the sweep's bracket and seeds are
+    those of one midpoint per kernel call.  At the default width every
+    bisection here stops at a singular midpoint; at 1e-6 every one stops on
+    the width."""
+    monkeypatch.setattr(solvers, "BISECT_WIDTH", width)
+    curve = make_curve(name, **{"samples": 1024, **kwargs}).with_base_param(base)
+    shape = shape_from_degrees(*angles)
+    try:
+        grid = sweep_similar(curve, shape).grid
+    except NoBracketError:
+        return
+    want = sequential_bisection(curve, shape, grid)
+    for depth in range(1, 7):
+        monkeypatch.setattr(solvers, "BISECT_DEPTH", depth)
+        result = sweep_similar(curve, shape)
+        assert (result.bracket, result.seeds) == want, depth
+
+
 SCALED_KERNEL_CASES = [
     ("fourier", {"seed": 0}, 0.75, (30, 75, 75), 1e-9),
     ("fourier", {"seed": 0}, 0.75, (30, 75, 75), 1e9),
@@ -416,10 +468,11 @@ def test_batched_grid_matches_per_node(monkeypatch, name, kwargs, angles, grid_s
 def test_grid_memory_is_bounded(monkeypatch, name, kwargs, samples, angles):
     """The temporaries of the sweep's grid call stay under a fixed cap: on the
     corner_wedge continuum a quarter of the curve is a candidate at every
-    node, and the n = 6 curve has 65536 vertices in six coordinates.  The
-    curve's cached arrays are built first; the one-node calls of the
-    bisection are left out, because a singular node takes a full pass over
-    the curve for its touch parameter."""
+    node and every node but the ends is singular, so the call includes
+    the touch pass of 254 spheres; the n = 6 curve has 65536 vertices in
+    six coordinates.  The curve's cached arrays are built first.  The grid
+    is the sweep's only call of ``_sphere_windings``; the bisection's tree
+    calls take ``_node_windings``."""
     curve = make_curve(name, samples=samples, **kwargs)
     curve.columns, curve.blocks
     kernel = solvers._sphere_windings
@@ -429,8 +482,7 @@ def test_grid_memory_is_bounded(monkeypatch, name, kwargs, samples, angles):
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         samples = kernel(curve, ts, shape)
-        if len(ts) > 1:
-            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
         return samples
 
     monkeypatch.setattr(solvers, "_sphere_windings", measured)
@@ -503,6 +555,17 @@ class TestDropped:
         lo, hi = result.bracket
         assert above.t < lo < hi < last.t
         assert [t for t, _ in result.seeds] == [0.5 * (lo + hi)]
+
+
+@pytest.mark.parametrize("depth", range(1, 7))
+def test_bisection_tree_stops_at_a_revisit_of_the_base(monkeypatch, depth):
+    """The first midpoint of one pair is the vertex where the figure eight
+    returns to the base: the tree gives that pair neither bracket nor seed,
+    as the one-node loop does, and bisects the next pair as it does."""
+    monkeypatch.setattr(solvers, "BISECT_DEPTH", depth)
+    result = sweep_similar(FIGURE_EIGHT, EQ, grid_size=5)
+    assert (result.bracket, result.seeds) == sequential_bisection(FIGURE_EIGHT, EQ, result.grid)
+    assert len(result.seeds) == 1
 
 
 class TestSweep:

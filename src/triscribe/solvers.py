@@ -147,13 +147,12 @@ def _sphere_distances(x, center, radius, normal):
     distance is hypot(h, |v - h normal| - r).  The dot products are summed
     axis by axis, first to last, and every step is entrywise, so a point
     gets the same bits alone and among any number of others."""
-    v = x[0] - center[0]
-    h = v * normal[0]
-    sq = v * v
+    v = x - center
+    hv, vv = v * normal, v * v
+    h, sq = hv[0].copy(), vv[0].copy()
     for i in range(1, x.shape[0]):
-        v = x[i] - center[i]
-        h += v * normal[i]
-        sq += v * v
+        h += hv[i]
+        sq += vv[i]
     return np.hypot(h, np.sqrt(np.maximum(sq - h * h, 0.0)) - radius)
 
 

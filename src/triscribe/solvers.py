@@ -50,7 +50,7 @@ RATIO_SAMPLES = 1024  # points per ratio path
 SINGULAR_TOL = 1e-9  # projected distance to (1, 0) at which the curve touches the sphere
 DEDUPE_TOL = 1e-4  # parameter distance under which two found triangles are one
 BISECT_WIDTH = 1e-10  # parameter width at which bisection stops
-BISECT_DEPTH = 3  # levels of bisection midpoints per kernel call (measured: see CHANGES.md)
+BISECT_DEPTH = 3  # levels of bisection midpoints per kernel call (measured; see README)
 MAX_NEWTON_ITERS = 100
 PAIR_BUDGET = 2048  # (node, block | vertex | segment) pairs per pass of the winding kernel
 _SEGMENT_ENDS = np.array([[0], [1]])  # offsets of a segment's start and end vertex

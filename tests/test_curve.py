@@ -328,7 +328,11 @@ def scalar_golden_max(f, lo, hi, iters=80):
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 12), kind=st.sampled_from(["vee", "bowl", "wave"]))
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 12),
+    kind=st.sampled_from(["vee", "bowl", "wave"]),
+)
 def test_golden_max_batch_is_each_scalar_search(seed, count, kind):
     """A batch of brackets, from 1e-13 to 10 wide (so entries stop after
     different numbers of steps), gives each entry the bits of the plain

@@ -16,7 +16,12 @@ from hypothesis import strategies as st
 from triscribe import Curve
 from triscribe.curve import BLOCK_SIZE
 from triscribe.frames import Sphere
-from triscribe.solvers import _nearest_params, _nearest_vertices, _param_at_distance, _sphere_distances
+from triscribe.solvers import (
+    _nearest_params,
+    _nearest_vertices,
+    _param_at_distance,
+    _sphere_distances,
+)
 
 from conftest import min_distance_loop, one_row_distance
 
@@ -166,7 +171,12 @@ def one_row(columns, g):
 
 
 @settings(max_examples=EXAMPLES, deadline=None)
-@given(drawn=curves(), radius=st.floats(0.05, 3.0), near_curve=st.booleans(), count=st.integers(1, 6))
+@given(
+    drawn=curves(),
+    radius=st.floats(0.05, 3.0),
+    near_curve=st.booleans(),
+    count=st.integers(1, 6),
+)
 def test_nearest_param_is_no_farther_than_the_nearest_vertex(drawn, radius, near_curve, count):
     """The touch pass of several spheres at once, and of each alone."""
     curve, rng, scale = drawn
@@ -183,7 +193,12 @@ def test_nearest_param_is_no_farther_than_the_nearest_vertex(drawn, radius, near
 
 
 @settings(max_examples=EXAMPLES, deadline=None)
-@given(drawn=curves(), radius=st.floats(0.05, 3.0), near_curve=st.booleans(), count=st.integers(2, 6))
+@given(
+    drawn=curves(),
+    radius=st.floats(0.05, 3.0),
+    near_curve=st.booleans(),
+    count=st.integers(2, 6),
+)
 def test_batched_touch_pass_is_the_one_row_form(drawn, radius, near_curve, count):
     """Several spheres in one pass give each sphere's bits alone: the sphere
     distances, the nearest vertex (the first least distance over every

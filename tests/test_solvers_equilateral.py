@@ -206,4 +206,5 @@ def test_loop_winding_singular_vertex_matches_winding_closed():
     loop = _ratio_loop(path_far, ratio_path(curve, s, samples))
     want = loop_outcome(lambda: winding_closed(loop, ORIGIN))
     assert want == ("singular", samples + samples // 2)
-    assert loop_outcome(lambda: solvers._loop_winding(curve, solvers._FarHalf.of(path_far), s, samples)) == want
+    far = solvers._FarHalf.of(path_far)
+    assert loop_outcome(lambda: solvers._loop_winding(curve, far, s, samples)) == want

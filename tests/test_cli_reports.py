@@ -41,6 +41,11 @@ CASES = {
     "no-bracket": ["solve-similar", "--curve", "gen:circle,samples=256", "--angles", "60,60,60",
                    "--grid", "2"],
     "refine-failure": ["solve-equilateral", "--curve", "gen:u_turn,leg=1e9,samples=1024"],
+    "sweep-trefoil": ["sweep", "--curve", "gen:trefoil,samples=1024", "--angles", "60,60,60"],
+    "sweep-tilted-n6": ["sweep", "--curve", "gen:tilted_circle_nd,n=6,samples=2048",
+                        "--angles", "90,45,45"],
+    "continuum": ["solve-similar", "--curve", "gen:corner_wedge,samples=512", "--angles", "90,45,45",
+                  "--grid", "32"],
 }
 
 NUMBER = re.compile(r"-?\d+\.\d+(?:e[-+]?\d+)?")

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curve import _BLOCK_SPAN, BLOCK_SIZE, _golden_max, point_segment_distances, row_norms
+from .curve import _BLOCK_SPAN, BLOCK_SIZE, _golden_max, row_norms
 from .errors import (
     DegenerateConfigurationError,
     InfeasibleShapeError,
@@ -53,6 +53,9 @@ BISECT_WIDTH = 1e-10  # parameter width at which bisection stops
 BISECT_DEPTH = 3  # levels of bisection midpoints per kernel call (measured; see README)
 MAX_NEWTON_ITERS = 100
 PAIR_BUDGET = 2048  # (node, block | vertex | segment) pairs per pass of the winding kernel
+# Entries per chunk or slice of the candidate scans, in multiples of PAIR_BUDGET:
+# a scan holds about 4 arrays an entry, the exact pass about 25.
+SCAN_MULTIPLE = 4
 _SEGMENT_ENDS = np.array([[0], [1]])  # offsets of a segment's start and end vertex
 _PROJECTION_BASE = np.array([1.0, 0.0])  # the point the projected curve winds around
 
@@ -292,7 +295,8 @@ def _candidate_pairs(curve, center, radius, normal, thr):
     """(node, segment) pairs, one row of ``center``, ``radius``, ``normal``
     per node, whose segment j (vertex j to vertex j + 1 mod m) may straddle
     z = 0 or end within ``thr[node]`` of it in the node's projection; yielded
-    a slice of blocks at a time.
+    ``PAIR_BUDGET`` pairs at a time (the last batch shorter), in the order
+    of the scan: node by node of each chunk, blocks and segments ascending.
 
     Two passes, both on h~ = normal . x against normal . center, where
     ``delta`` bounds the rounding of those dot products and of the exact
@@ -305,8 +309,10 @@ def _candidate_pairs(curve, center, radius, normal, thr):
     one side.  The second takes h~ on the vertices of the surviving blocks
     and keeps a segment unless both its ends lie beyond the window on one
     side.  The first pass takes the nodes in chunks and the second the
-    surviving blocks in slices, so that no pass holds more than
-    ``PAIR_BUDGET`` pairs.  At least one node is needed.
+    surviving blocks in slices, so that neither holds more than
+    ``SCAN_MULTIPLE * PAIR_BUDGET`` entries; the second queues the pairs it
+    keeps and carries what does not fill a batch to the next slice.  At
+    least one node is needed.
     """
     m = curve.n_vertices
     columns = curve.columns
@@ -320,7 +326,8 @@ def _candidate_pairs(curve, center, radius, normal, thr):
     window = thr * radius * (1.0 + 1e-12) + delta
     high, low = offset + window, offset - window
     reach = window + 2.0 * delta
-    chunk = max(1, PAIR_BUDGET // mid.shape[1])
+    scan = SCAN_MULTIPLE * PAIR_BUDGET
+    chunk = max(1, scan // mid.shape[1])
     nodes, blocks = [], []
     for g0 in range(0, normal.shape[0], chunk):
         part = normal[g0:g0 + chunk]
@@ -331,7 +338,8 @@ def _candidate_pairs(curve, center, radius, normal, thr):
         blocks.append(block)
     nodes, blocks = np.concatenate(nodes), np.concatenate(blocks)
     span = np.arange(BLOCK_SIZE + 1)
-    per_slice = max(1, PAIR_BUDGET // span.size)
+    per_slice = max(1, scan // span.size)
+    queue_node, queue_seg, queued = [], [], 0
     for s0 in range(0, nodes.size, per_slice):
         g = nodes[s0:s0 + per_slice]
         b = blocks[s0:s0 + per_slice]
@@ -347,7 +355,34 @@ def _candidate_pairs(curve, center, radius, normal, thr):
         seg = b[row] * BLOCK_SIZE + pos
         # Past segment m - 1 a short last block holds only padding.
         real = seg < m
-        yield g[row[real]], seg[real]
+        queue_node.append(g[row[real]])
+        queue_seg.append(seg[real])
+        queued += queue_seg[-1].size
+        if queued >= PAIR_BUDGET:
+            node, seg = np.concatenate(queue_node), np.concatenate(queue_seg)
+            full = queued - queued % PAIR_BUDGET
+            for p0 in range(0, full, PAIR_BUDGET):
+                yield node[p0:p0 + PAIR_BUDGET], seg[p0:p0 + PAIR_BUDGET]
+            queue_node, queue_seg, queued = [node[full:]], [seg[full:]], queued - full
+    if queued:
+        yield np.concatenate(queue_node), np.concatenate(queue_seg)
+
+
+def _base_distances(rho, z):
+    """Distance from (1, 0) to each projected segment, from (rho[0], z[0])
+    to (rho[1], z[1]) (rows of the (2, P) arrays): the steps of
+    ``point_segment_distances(_PROJECTION_BASE, start, end)`` on the two
+    components, x - a, the dot product summed rho then z, and (a + s ab) - x.
+    A sum of two terms is one addition, so the bits are the same."""
+    x_rho, x_z = _PROJECTION_BASE
+    ab_rho, ab_z = rho[1] - rho[0], z[1] - z[0]
+    denom = ab_rho * ab_rho + ab_z * ab_z
+    safe = np.where(denom == 0.0, 1.0, denom)
+    s = ((x_rho - rho[0]) * ab_rho + (x_z - z[0]) * ab_z) / safe
+    s = np.clip(np.where(denom == 0.0, 0.0, s), 0.0, 1.0)
+    d_rho = rho[0] + s * ab_rho - x_rho
+    d_z = z[0] + s * ab_z - x_z
+    return np.sqrt(d_rho * d_rho + d_z * d_z)
 
 
 def _projected_windings(curve, center, radius, normal, tol):
@@ -370,7 +405,8 @@ def _projected_windings(curve, center, radius, normal, tol):
     vertices of the surviving blocks give a superset of those segments
     (``_candidate_pairs``).  The exact projection, the segment distances and
     the crossings are taken on the flat (sphere, segment) pairs of that
-    superset, one entrywise expression for every pair, so a sphere gets the
+    superset, ``PAIR_BUDGET`` pairs a pass whatever sphere they belong to,
+    one entrywise expression for every pair, so a sphere gets the
     same answer in a batch of any size, and are summed per sphere.  The exact
     vtol costs a full pass, so it is computed only for a sphere with a
     candidate vertex within the bound of (1, 0); below ``tol`` the segment
@@ -401,8 +437,7 @@ def _projected_windings(curve, center, radius, normal, tol):
         np.maximum(w_sq, 0.0, out=w_sq)
         r = radius[node]
         rho, z = np.sqrt(w_sq) / r, h / r
-        start, end = np.stack((rho, z), axis=2)
-        dist = point_segment_distances(_PROJECTION_BASE, start, end)
+        dist = _base_distances(rho, z)
         touches += np.bincount(node, weights=dist < tol, minlength=count)
         vertex_dist = np.hypot(rho[0] - 1.0, z[0])
         near = vertex_dist <= vtol_bound[node]

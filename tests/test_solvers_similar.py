@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triscribe import (
     Curve,
@@ -29,7 +31,7 @@ from triscribe import (
     winding_closed,
 )
 from triscribe import solvers
-from triscribe.curve import BLOCK_SIZE, GENERATORS
+from triscribe.curve import BLOCK_SIZE, GENERATORS, point_segment_distances
 from triscribe.frames import Sphere
 from triscribe.oracle import winding_by_crossing_count
 from triscribe.solvers import FALLBACK_EPSILON, SINGULAR_TOL
@@ -392,6 +394,7 @@ def test_block_index_keeps_full_pass_candidates(monkeypatch, name, kwargs, sampl
     through the closing segment, in one batch and, with a small budget, in
     chunks of one to four nodes and slices of one block."""
     monkeypatch.setattr(solvers, "PAIR_BUDGET", budget)
+    monkeypatch.setattr(solvers, "SCAN_MULTIPLE", 1)
     curve = Curve(make_curve(name, samples=samples, **kwargs).points * scale + shift)
     assert curve.n_vertices % BLOCK_SIZE != 0
     rng = np.random.default_rng(samples + curve.dimension)
@@ -451,6 +454,7 @@ def test_batched_grid_matches_per_node(monkeypatch, name, kwargs, angles, grid_s
     curve = make_curve(name, **{"samples": 1024, **kwargs})
     if chunk_nodes is not None:
         monkeypatch.setattr(solvers, "PAIR_BUDGET", chunk_nodes * curve.blocks[0].shape[1])
+        monkeypatch.setattr(solvers, "SCAN_MULTIPLE", 1)
     shape = shape_from_degrees(*angles)
     t_far = curve.farthest_param(curve.origin)
     ts = np.linspace(near_base_param(curve, shape, FALLBACK_EPSILON), t_far, grid_size)
@@ -459,6 +463,100 @@ def test_batched_grid_matches_per_node(monkeypatch, name, kwargs, angles, grid_s
     assert batched == [sphere_winding(curve, t, shape) for t in ts]
     if name == "corner_wedge":
         assert all(s.singular for s in batched[1:-1])
+
+
+def grid_spheres(curve, shape, grid_size):
+    """The spheres of a sweep grid of ``grid_size`` nodes, as the kernel's
+    (center, radius, normal) rows; the base node, which has none, left out."""
+    t_far = curve.farthest_param(curve.origin)
+    ts = np.linspace(near_base_param(curve, shape, FALLBACK_EPSILON), t_far, grid_size)
+    spheres = [third_vertex_sphere(curve.origin, p, shape) for p in curve.eval_many(ts)]
+    return (np.array([s.center for s in spheres]), np.array([s.radius for s in spheres]),
+            np.array([s.normal for s in spheres]))
+
+
+@pytest.mark.parametrize("multiple", [None, 1])
+@pytest.mark.parametrize("budget", [None, 1, 7, 70])
+@pytest.mark.parametrize("name,kwargs,angles", GRID_CASES)
+def test_windings_do_not_depend_on_batching(monkeypatch, name, kwargs, angles, budget, multiple):
+    """Windings and singular flags are the same whatever the batch and scan
+    sizes: with batches of one pair, with batches cut inside a slice (7 and
+    70 pairs against slices of up to ``SCAN_MULTIPLE * PAIR_BUDGET``
+    entries) and carried across slices, on grids that include the
+    corner_wedge continuum."""
+    curve = make_curve(name, **{"samples": 1024, **kwargs})
+    spheres = grid_spheres(curve, shape_from_degrees(*angles), 17 if budget == 1 else 65)
+    expected = solvers._projected_windings(curve, *spheres, SINGULAR_TOL)
+    if budget is not None:
+        monkeypatch.setattr(solvers, "PAIR_BUDGET", budget)
+    if multiple is not None:
+        monkeypatch.setattr(solvers, "SCAN_MULTIPLE", multiple)
+    winding, singular = solvers._projected_windings(curve, *spheres, SINGULAR_TOL)
+    assert winding.tolist() == expected[0].tolist()
+    assert singular.tolist() == expected[1].tolist()
+
+
+@pytest.mark.parametrize("budget", [1, 7, 70, 3000])
+@pytest.mark.parametrize("name,kwargs,angles", [
+    ("corner_wedge", {}, (90, 45, 45)),
+    ("trefoil", {}, (50, 60, 70)),
+])
+def test_candidate_batches_are_full_and_in_scan_order(monkeypatch, name, kwargs, angles, budget):
+    """Every batch of candidate pairs but the last holds exactly
+    ``PAIR_BUDGET`` pairs, and the pairs come in the same order whatever
+    the batch and slice sizes."""
+    curve = make_curve(name, samples=1024, **kwargs)
+    center, radius, normal = grid_spheres(curve, shape_from_degrees(*angles), 65)
+    thr = 2.0 * np.maximum(SINGULAR_TOL, solvers._vertex_tolerance_bound(curve, center, radius))
+
+    def pairs():
+        batches = list(solvers._candidate_pairs(curve, center, radius, normal, thr))
+        node = np.concatenate([node for node, _ in batches])
+        seg = np.concatenate([seg for _, seg in batches])
+        return [s.size for _, s in batches], node.tolist(), seg.tolist()
+
+    _, *expected = pairs()
+    monkeypatch.setattr(solvers, "PAIR_BUDGET", budget)
+    for multiple in (1, 4):
+        monkeypatch.setattr(solvers, "SCAN_MULTIPLE", multiple)
+        sizes, *got = pairs()
+        assert got == expected
+        assert set(sizes[:-1]) <= {budget} and 0 < sizes[-1] <= budget
+
+
+@st.composite
+def projected_segments(draw):
+    """A segment of the projected half-plane rho >= 0, as ((rho, z), (rho, z)):
+    free, of zero length, or placed so that the foot of (1, 0) falls at a
+    fraction ``foot`` along it, before it (< 0), inside or past it (> 1)."""
+    kind = draw(st.sampled_from(["free", "point", "foot"]))
+    rho, z = st.floats(0.0, 1e3), st.floats(-1e3, 1e3)
+    a = np.array([draw(rho), draw(z)])
+    if kind == "free":
+        return a, np.array([draw(rho), draw(z)])
+    if kind == "point":
+        return a, a.copy()
+    angle = draw(st.floats(0.0, 2.0 * math.pi))
+    length = draw(st.floats(1e-9, 0.2))
+    foot = draw(st.sampled_from([0.0, 1.0]) | st.floats(-2.0, 3.0))
+    lift = draw(st.floats(-1.0, 1.0))
+    ab = length * np.array([math.cos(angle), math.sin(angle)])
+    a = PROJECTION_BASE - foot * ab + lift * np.array([-ab[1], ab[0]])
+    return a, a + ab
+
+
+@settings(max_examples=300, deadline=None)
+@given(segments=st.lists(projected_segments(), min_size=1, max_size=6))
+def test_base_distances_match_point_segment_distances(segments):
+    """The exact pass's component distance from (1, 0) has the bits of
+    ``point_segment_distances``."""
+    starts = np.array([a for a, _ in segments])
+    ends = np.array([b for _, b in segments])
+    rho = np.stack((starts[:, 0], ends[:, 0]))
+    z = np.stack((starts[:, 1], ends[:, 1]))
+    got = solvers._base_distances(rho, z)
+    want = point_segment_distances(PROJECTION_BASE, starts, ends)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name,kwargs,samples,angles", [

@@ -36,9 +36,10 @@ class TriangleShape:
 def shape_from_angles(angle_o, angle_p, angle_q):
     """Build a shape from vertex angles in radians (angle at o listed first)."""
     angles = (float(angle_o), float(angle_p), float(angle_q))
-    if any(a <= 0.0 or a >= math.pi for a in angles):
+    # Written so that NaN fails both checks.
+    if not all(0.0 < a < math.pi for a in angles):
         raise InvalidArgumentError("vertex angles must lie strictly inside (0, pi)")
-    if abs(sum(angles) - math.pi) > ANGLE_SUM_TOL:
+    if not abs(sum(angles) - math.pi) <= ANGLE_SUM_TOL:
         raise InvalidArgumentError("vertex angles must sum to pi")
     ao, ap, aq = angles
     # Law of sines: each side ratio is the ratio of the sines of the opposite angles.

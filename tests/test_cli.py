@@ -144,6 +144,12 @@ class TestErrorPaths:
         code = run(["solve-similar", "--curve", "gen:circle", "--angles", "60,60"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("angles", ["nan,60,60", "60,nan,60", "inf,60,60", "0,90,90"])
+    def test_angles_outside_open_interval(self, capsys, angles):
+        code = run(["solve-similar", "--curve", "gen:circle,samples=256", "--angles", angles])
+        assert code == EXIT_ERROR
+        assert "vertex angles must lie strictly inside (0, pi)" in capsys.readouterr().err
+
     def test_unreadable_file(self, capsys):
         code = run(["solve-similar", "--curve", "/no/such/file.json", "--angles", "60,60,60"])
         assert code == EXIT_NO_INPUT

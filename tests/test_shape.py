@@ -44,6 +44,14 @@ class TestShapeFromAngles:
         with pytest.raises(InvalidArgumentError):
             shape_from_angles(0.0, math.pi / 2, math.pi / 2)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_rejects_non_finite_angle(self, bad, slot):
+        angles = [math.pi / 3] * 3
+        angles[slot] = bad
+        with pytest.raises(InvalidArgumentError, match="strictly inside"):
+            shape_from_angles(*angles)
+
 
 angle_triples = st.tuples(
     st.floats(min_value=0.05, max_value=3.0),

@@ -52,7 +52,9 @@ DEDUPE_TOL = 1e-4  # parameter distance under which two found triangles are one
 BISECT_WIDTH = 1e-10  # parameter width at which bisection stops
 BISECT_DEPTH = 3  # levels of bisection midpoints per kernel call (measured; see README)
 MAX_NEWTON_ITERS = 100
-PAIR_BUDGET = 2048  # (node, block | vertex | segment) pairs per pass of the winding kernel
+# (node, segment) pairs per exact pass of the winding kernel, and (sphere,
+# block | vertex) pairs per pass of the touch parameters' vertex search.
+PAIR_BUDGET = 2048
 # Entries per chunk or slice of the candidate scans, in multiples of PAIR_BUDGET:
 # a scan holds about 4 arrays an entry, the exact pass about 25.
 SCAN_MULTIPLE = 4

@@ -423,44 +423,24 @@ class Curve:
 
 
 def _golden_max(f, lo, hi, iters=80):
-    """Golden-section search for a maximum of f on [lo, hi], entry by entry.
-
-    ``lo`` and ``hi`` are numbers or arrays of one shape; ``f`` maps an array
-    of points of that shape to their values.  Each entry takes the steps a
-    search on it alone would take and stops once its bracket is narrower
-    than 1e-14, so a scalar search keeps its bits in a batch of any size.
-    """
-    shape = np.shape(lo)
-    a = np.array(lo, dtype=float).ravel()
-    b = np.array(hi, dtype=float).ravel()
+    """Golden-section search for a maximum of f on [lo, hi]; stops once the
+    bracket is narrower than 1e-14."""
+    a, b = float(lo), float(hi)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc = np.array(f(c.reshape(shape)), dtype=float).ravel()
-    fd = np.array(f(d.reshape(shape)), dtype=float).ravel()
-    live = np.ones(a.shape, dtype=bool)
+    fc, fd = f(c), f(d)
     for _ in range(iters):
-        # A live entry with fc >= fd keeps [a, d]: d becomes c and a new c is
-        # probed.  Otherwise it keeps [c, b]: c becomes d and a new d is probed.
-        left = fc >= fd
-        to_left = live & left
-        to_right = live ^ to_left
-        np.copyto(b, d, where=to_left)
-        np.copyto(d, c, where=to_left)
-        np.copyto(fd, fc, where=to_left)
-        np.copyto(a, c, where=to_right)
-        np.copyto(c, d, where=to_right)
-        np.copyto(fc, fd, where=to_right)
-        step = _GOLDEN * (b - a)
-        probe = np.where(left, b - step, a + step)
-        value = np.reshape(f(probe.reshape(shape)), a.shape)
-        np.copyto(c, probe, where=to_left)
-        np.copyto(fc, value, where=to_left)
-        np.copyto(d, probe, where=to_right)
-        np.copyto(fd, value, where=to_right)
-        live &= ~(b - a < 1e-14)
-        if not live.any():
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(d)
+        if b - a < 1e-14:
             break
-    return (0.5 * (a + b)).reshape(shape)
+    return 0.5 * (a + b)
 
 
 # -- generators ------------------------------------------------------------

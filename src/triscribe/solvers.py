@@ -52,9 +52,11 @@ DEDUPE_TOL = 1e-4  # parameter distance under which two found triangles are one
 BISECT_WIDTH = 1e-10  # parameter width at which bisection stops
 BISECT_DEPTH = 3  # levels of bisection midpoints per kernel call (measured; see README)
 MAX_NEWTON_ITERS = 100
-# (node, segment) pairs per exact pass of the winding kernel, and (sphere,
-# block | vertex) pairs per pass of the touch parameters' vertex search.
+# (node, segment) pairs per exact pass of the winding kernel, (sphere,
+# block | vertex) pairs per pass of the touch parameters' vertex search, and
+# samples per pass of their segment search.
 PAIR_BUDGET = 2048
+SEARCH_POINTS = 17  # samples per segment piece a pass of that search (measured; see README)
 # Entries per chunk or slice of the candidate scans, in multiples of PAIR_BUDGET:
 # a scan holds about 4 arrays an entry, the exact pass about 25.
 SCAN_MULTIPLE = 4
@@ -144,21 +146,27 @@ class WindingSample:
         return "singular" if self.singular else "ok"
 
 
+def _axis_dot(a, b):
+    """Column dot products of ``a`` and ``b`` (n, P), summed axis by axis,
+    first to last, so each column gets the same bits in any batch."""
+    ab = a * b
+    dot = ab[0].copy()
+    for i in range(1, ab.shape[0]):
+        dot += ab[i]
+    return dot
+
+
 def _sphere_distances(x, center, radius, normal):
     """Distance from each point x[:, j] of ``x`` (n, k) to the sphere of
     column j of ``center`` and ``normal`` (n, k) and entry j of ``radius``;
     a sphere's columns may be (n, 1) and its radius a number, to measure k
-    points against one sphere.  With v = x - center and h = v . normal, the
+    points against one sphere, and more axes broadcast the same way.  With v = x - center and h = v . normal, the
     distance is hypot(h, |v - h normal| - r).  The dot products are summed
     axis by axis, first to last, and every step is entrywise, so a point
     gets the same bits alone and among any number of others."""
     v = x - center
-    hv, vv = v * normal, v * v
-    h, sq = hv[0].copy(), vv[0].copy()
-    for i in range(1, x.shape[0]):
-        h += hv[i]
-        sq += vv[i]
-    return np.hypot(h, np.sqrt(np.maximum(sq - h * h, 0.0)) - radius)
+    h = _axis_dot(v, normal)
+    return np.hypot(h, np.sqrt(np.maximum(_axis_dot(v, v) - h * h, 0.0)) - radius)
 
 
 def _nearest_vertices(curve, center, radius, normal):
@@ -225,20 +233,122 @@ def _nearest_vertices(curve, center, radius, normal):
     return nearest
 
 
+def _convex_pieces(coef, ee):
+    """``(cut, resume)`` for each segment (column of ``coef``, as in
+    ``_segment_minimisers``, and entry of ``ee`` = |e|^2): its distance to
+    the sphere is unimodal on [0, cut] and on [resume, 1].  Where it is
+    unimodal on the whole segment, cut is 1 and resume is not used.
+
+    The squared distance f = h^2 + (sqrt(p) - r)^2 has f'' = 2 |e|^2 -
+    2 r p2 pmin / p^(3/2), with pmin the least p on the segment's line, at
+    tau0 = -p1 / p2.  So f is convex but on the tau where p < (r p2 pmin /
+    |e|^2)^(2/3), an interval around tau0 (a kink at tau0 if pmin = 0) that
+    is not empty when sqrt(pmin) < r p2 / |e|^2.  Where that interval meets
+    (0, 1), [cut, resume] is its part in [0, 1].
+    """
+    _, _, p0, q1, p2, r = coef
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau0 = -0.5 * q1 / p2
+        pmin = np.maximum(p0 + 0.5 * q1 * tau0, 0.0)
+        half = np.sqrt(np.maximum(np.cbrt(r * p2 * pmin / ee) ** 2 - pmin, 0.0) / p2)
+        cut, resume = np.clip(tau0 - half, 0.0, 1.0), np.clip(tau0 + half, 0.0, 1.0)
+    concave = (p2 > 0.0) & (np.sqrt(pmin) < r * p2 / ee) & (resume > 0.0)
+    return np.where(concave, cut, 1.0), resume
+
+
+def _segment_minimisers(coef, lo, hi, span):
+    """Fraction tau in [lo, hi] along each segment of least closed-form
+    distance to its sphere, and that distance squared, one pair per column
+    of ``coef`` (6, P): h0, h1, p0, q1 = 2 p1, p2 and r, so that the
+    squared distance at tau is (h0 + tau h1)^2 + (sqrt(p0 + q1 tau + p2
+    tau^2) - r)^2.  The search compares squares, which order the samples
+    as the distances do at a fraction of the cost of ``np.hypot``.
+
+    Each pass samples ``SEARCH_POINTS`` fractions evenly across every live
+    pair's bracket and keeps the two neighbours of the first least sample,
+    which holds the minimum where the distance is unimodal.  A pair stops,
+    at its least sample, once its bracket times its segment's parameter
+    ``span`` is narrower than 1e-14.  Every step is entrywise, so a pair
+    gets the same bits in any batch; pairs are taken in chunks of at most
+    ``PAIR_BUDGET`` samples a pass.
+    """
+    last = SEARCH_POINTS - 1
+    fractions = np.arange(SEARCH_POINTS) / last
+    tau, dist = np.empty(span.size), np.empty(span.size)
+    per_chunk = max(1, PAIR_BUDGET // SEARCH_POINTS)
+    for c0 in range(0, span.size, per_chunk):
+        pair = np.arange(c0, min(c0 + per_chunk, span.size))
+        # Rows: the six coefficients, the span, and the bracket's start and width.
+        state = np.vstack((coef[:, pair], span[pair], lo[pair], hi[pair] - lo[pair]))
+        rows = np.arange(pair.size)
+        while pair.size:
+            h0, h1, p0, q1, p2, r, _, start, width = state[:, :, None]
+            x = start + width * fractions
+            p = p0 + x * (q1 + x * p2)
+            h, w = h0 + x * h1, np.sqrt(np.maximum(p, 0.0)) - r
+            d = h * h + w * w
+            at = d.argmin(axis=1)
+            state[7] = x[rows, np.maximum(at - 1, 0)]
+            state[8] = x[rows, np.minimum(at + 1, last)] - state[7]
+            live = state[8] * state[6] >= 1e-14
+            if not live.all():
+                done = ~live
+                tau[pair[done]] = x[rows[done], at[done]]
+                dist[pair[done]] = d[rows[done], at[done]]
+                pair, state = pair[live], state[:, live]
+                rows = rows[:pair.size]
+    return tau, dist
+
+
 def _nearest_params(curve, center, radius, normal):
     """Curve parameter nearest each sphere (column of ``center`` and
-    ``normal`` (n, G), entry of ``radius``): its nearest vertex, then a
-    golden-section pass over the vertex's two segments that replaces it
-    unless farther, one pass for all spheres."""
+    ``normal`` (n, G), entry of ``radius``), one pass for all spheres.
+
+    From the nearest vertex k, each of its two segments j (k - 1 and k, mod
+    m) is searched in closed form.  With v0 = x_j - center, e = x_{j+1} - x_j
+    and h = v . normal, the point at fraction tau has h = h0 + tau h1 and
+    |v|^2 - h^2 = p0 + 2 p1 tau + p2 tau^2, so its distance to the sphere
+    costs a few entrywise operations.  A segment is searched on each piece
+    where that distance is unimodal (``_convex_pieces``), so the search
+    finds its least distance on the segment.  The vertex and both segments'
+    minimisers are then measured with ``_sphere_distances``: the nearer
+    minimiser (the earlier segment on a tie) replaces the vertex unless
+    farther.
+    """
     params = curve.params
+    columns = curve.columns
+    m = curve.n_vertices
     k = _nearest_vertices(curve, center, radius, normal)
-
-    def dist(t):
-        return _sphere_distances(curve.eval_many(t).T, center, radius, normal)
-
-    lo = np.where(k > 0, params[k - 1], params[curve.n_vertices - 1] - 1.0)
-    t_star = _golden_max(lambda t: -dist(t), lo, params[k + 1])
-    t_star = np.where(dist(t_star) > dist(params[k]), params[k], t_star)
+    seg = np.stack(((k - 1) % m, k))  # (2, G): the segments before and after k
+    center, normal = center[:, None], normal[:, None]
+    x0 = columns[:, seg]
+    v0 = x0 - center
+    e = columns[:, (seg + 1) % m] - x0
+    h0, h1, ee = _axis_dot(v0, normal), _axis_dot(e, normal), _axis_dot(e, e)
+    coef = np.array([
+        h0,
+        h1,
+        _axis_dot(v0, v0) - h0 * h0,
+        2.0 * (_axis_dot(v0, e) - h0 * h1),
+        ee - h1 * h1,
+        np.broadcast_to(radius, seg.shape),
+    ]).reshape(6, -1)
+    start, span = params[seg], params[seg + 1] - params[seg]
+    # Every segment's first piece, then the second piece of each split one.
+    cut, resume = _convex_pieces(coef, ee.ravel())
+    split = np.flatnonzero(cut < 1.0)
+    piece = np.concatenate((np.arange(cut.size), split))
+    tau, dist = _segment_minimisers(
+        coef[:, piece], np.concatenate((np.zeros(cut.size), resume[split])),
+        np.concatenate((cut, np.ones(split.size))), span.ravel()[piece])
+    later = cut.size + np.arange(split.size)
+    nearer = dist[later] < dist[split]
+    tau[split[nearer]] = tau[later[nearer]]
+    t = np.concatenate((params[k][None], start + tau[:cut.size].reshape(seg.shape) * span))
+    points = np.moveaxis(curve.eval_many(t), -1, 0)
+    vertex, before, after = _sphere_distances(points, center, radius, normal)
+    t_star = np.where(after < before, t[2], t[1])
+    t_star = np.where(np.minimum(before, after) > vertex, t[0], t_star)
     return np.mod(t_star, 1.0)
 
 
@@ -714,6 +824,13 @@ def _finite_difference_jacobian(fn, v, step=1e-7):
     return jac
 
 
+def _check_residual_tol(residual_tol):
+    """Refuse a residual tolerance that is not positive and finite: a NaN or
+    infinite one would accept any triangle, and zero or less none."""
+    if not 0.0 < residual_tol < math.inf:
+        raise InvalidArgumentError(f"residual_tol must be positive and finite, got {residual_tol!r}")
+
+
 def refine_similar(curve, shape, t0, s0, residual_tol=1e-9):
     """Damped Newton on the two ratio residuals, seeded from a bracket.
 
@@ -722,6 +839,7 @@ def refine_similar(curve, shape, t0, s0, residual_tol=1e-9):
     coordinate-wise golden-section pass restarts it.  The residuals are
     dimensionless side ratios, so ``residual_tol`` does not scale with the curve.
     """
+    _check_residual_tol(residual_tol)
     base = curve.origin
     big = 1e6
 
@@ -826,6 +944,7 @@ def solve_similar(curve, shape, base_param=0.0, grid_size=256, residual_tol=1e-9
     The angle condition is sufficient, not necessary, so a failed check only
     warns.  Raises NoBracketError when the sweep sees no invariant change.
     """
+    _check_residual_tol(residual_tol)
     work = curve.with_base_param(base_param)
     warnings = []
     hypothesis = None
@@ -985,6 +1104,7 @@ def solve_equilateral(curve, base_param=0.0, residual_tol=1e-9):
     the origin, bisects the anchor parameter to bracket a ratio path through
     the origin, and polishes with the shared Newton refiner.
     """
+    _check_residual_tol(residual_tol)
     work = curve.with_base_param(base_param)
     base = work.origin
     warnings = []

@@ -69,3 +69,24 @@ def min_distance_loop(curve, base, excluded, distance=point_segment_distance):
             pb = pts[(j + 1) % m] if cb == b else curve.eval(cb)
             best = min(best, distance(base, pa, pb))
     return best
+
+
+def scalar_golden_max(f, lo, hi, iters=80):
+    """The one-bracket golden-section search, written plainly on floats."""
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = float(lo), float(hi)
+    c = b - ratio * (b - a)
+    d = a + ratio * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - ratio * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + ratio * (b - a)
+            fd = f(d)
+        if b - a < 1e-14:
+            break
+    return 0.5 * (a + b)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from triscribe import Curve, InvalidArgumentError, curve_from_json, make_curve
 
-from conftest import min_distance_loop, polyline_distance
+from conftest import min_distance_loop, polyline_distance, scalar_golden_max
 
 
 class TestEval:
@@ -306,37 +306,15 @@ class TestGenerators:
             make_curve("circle", samples=8)
 
 
-def scalar_golden_max(f, lo, hi, iters=80):
-    """The one-bracket golden-section search, written plainly on floats."""
-    ratio = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(lo), float(hi)
-    c = b - ratio * (b - a)
-    d = a + ratio * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - ratio * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + ratio * (b - a)
-            fd = f(d)
-        if b - a < 1e-14:
-            break
-    return 0.5 * (a + b)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     count=st.integers(1, 12),
     kind=st.sampled_from(["vee", "bowl", "wave"]),
 )
-def test_golden_max_batch_is_each_scalar_search(seed, count, kind):
-    """A batch of brackets, from 1e-13 to 10 wide (so entries stop after
-    different numbers of steps), gives each entry the bits of the plain
-    scalar search, and so does a scalar call."""
+def test_golden_max_is_the_scalar_search(seed, count, kind):
+    """Brackets from 1e-13 to 10 wide (so searches stop after different
+    numbers of steps) give the bits of the plain scalar search."""
     from triscribe.curve import _golden_max
 
     rng = np.random.default_rng(seed)
@@ -349,8 +327,6 @@ def test_golden_max_batch_is_each_scalar_search(seed, count, kind):
         "wave": lambda x, p: np.cos(7.0 * x + p),
     }
     f = shapes[kind]
-    batch = _golden_max(lambda x: f(x, peak), lo, hi)
     for g in range(count):
         want = scalar_golden_max(lambda x: float(f(x, peak[g])), lo[g], hi[g])
-        assert batch[g] == want
         assert _golden_max(lambda x: float(f(x, peak[g])), lo[g], hi[g]) == want

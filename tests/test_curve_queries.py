@@ -10,6 +10,7 @@ segments (mid-block) and on the closing segment.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,13 +18,14 @@ from triscribe import Curve
 from triscribe.curve import BLOCK_SIZE
 from triscribe.frames import Sphere
 from triscribe.solvers import (
+    _convex_pieces,
     _nearest_params,
     _nearest_vertices,
     _param_at_distance,
     _sphere_distances,
 )
 
-from conftest import min_distance_loop, one_row_distance
+from conftest import min_distance_loop, modular_distance, one_row_distance, scalar_golden_max
 
 EXAMPLES = 60
 
@@ -186,10 +188,101 @@ def test_nearest_param_is_no_farther_than_the_nearest_vertex(drawn, radius, near
         sphere = Sphere(center[:, g], radii[g], normal[:, g], curve.dimension)
         (alone,) = _nearest_params(curve, one_row(center, g), radii[g:g + 1], one_row(normal, g))
         best_vertex = min(sphere_distance(x, sphere) for x in curve.points)
-        slack = 1e-12 * (np.linalg.norm(sphere.center) + sphere.radius + curve.extent)
         for t in (batched[g], alone):
             assert 0.0 <= t < 1.0
-            assert sphere_distance(curve.eval(t), sphere) <= best_vertex + slack
+            assert sphere_distance(curve.eval(t), sphere) <= best_vertex + sphere_slack(curve, sphere)
+
+
+def golden_touch_param(curve, k, sphere):
+    """The search the closed form replaced: one scalar golden-section search
+    for the least ``sphere_distance`` across the two segments around vertex
+    k, from parameter -1 + t_{m-1} when k is 0."""
+    params, m = curve.params, curve.n_vertices
+    lo = params[k - 1] if k > 0 else params[m - 1] - 1.0
+    t = scalar_golden_max(lambda t: -sphere_distance(curve.eval(t), sphere), lo, params[k + 1])
+    return t % 1.0
+
+
+def sphere_slack(curve, sphere):
+    return 1e-12 * (np.linalg.norm(sphere.center) + sphere.radius + curve.extent)
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(
+    drawn=curves(),
+    radius=st.floats(0.05, 3.0),
+    near_curve=st.booleans(),
+    count=st.integers(1, 6),
+)
+def test_nearest_param_is_no_farther_than_the_golden_search(drawn, radius, near_curve, count):
+    """The closed-form search lands no farther from each sphere than the
+    golden-section search it replaced, over the same two segments."""
+    curve, rng, scale = drawn
+    center, radii, normal = random_spheres(curve, rng, scale, radius, near_curve, count)
+    nearest = _nearest_vertices(curve, center, radii, normal)
+    params = _nearest_params(curve, center, radii, normal)
+    for g in range(count):
+        sphere = Sphere(center[:, g], radii[g], normal[:, g], curve.dimension)
+        golden = sphere_distance(curve.eval(golden_touch_param(curve, nearest[g], sphere)), sphere)
+        assert sphere_distance(curve.eval(params[g]), sphere) <= golden + sphere_slack(curve, sphere)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([2, 3, 6]),
+    reach=st.sampled_from([0.1, 1.0, 3.0]),
+    radius=st.floats(0.05, 3.0),
+)
+def test_segment_distance_is_unimodal_on_each_convex_piece(seed, n, reach, radius):
+    """Sampled at 2001 points, a segment's distance to a sphere falls and
+    then rises on each piece that ``_convex_pieces`` gives: the segment
+    search can then keep the neighbours of its least sample."""
+    rng = np.random.default_rng(seed)
+    center, x0 = rng.standard_normal(n), rng.standard_normal(n)
+    e = reach * rng.standard_normal(n)
+    normal = rng.standard_normal(n)
+    normal /= np.linalg.norm(normal)
+    sphere = Sphere(center, radius, normal, n)
+    v0 = x0 - center
+    h0, h1, ee = v0 @ normal, e @ normal, e @ e
+    coef = np.array([[h0], [h1], [v0 @ v0 - h0 * h0], [2.0 * (v0 @ e - h0 * h1)], [ee - h1 * h1],
+                     [radius]])
+    (cut,), (resume,) = _convex_pieces(coef, np.array([ee]))
+    for lo, hi in [(0.0, cut), (resume, 1.0)] if cut < 1.0 else [(0.0, 1.0)]:
+        d = np.array([sphere_distance(x0 + tau * e, sphere) for tau in np.linspace(lo, hi, 2001)])
+        least = int(np.argmin(d))
+        slack = 1e-12 * (1.0 + d.max())
+        assert np.all(np.diff(d[:least + 1]) <= slack)
+        assert np.all(np.diff(d[least:]) >= -slack)
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
+@pytest.mark.parametrize("fraction,vertex", [(0.3, "last"), (0.7, "first")])
+def test_touch_param_on_the_closing_segment(scale, fraction, vertex):
+    """A small sphere crossing the closing segment (vertex m - 1 to vertex
+    0) at ``fraction`` of its length: the nearest vertex is m - 1 or 0, and
+    the search runs through the closing segment and the wrap of the
+    parameter to the crossing."""
+    m = 2 * BLOCK_SIZE + 7
+    th = 2.0 * np.pi * np.arange(m) / m
+    curve = Curve(scale * np.column_stack((np.cos(th), 0.5 * np.sin(th), 0.2 * np.sin(2 * th))))
+    params = curve.params
+    t_cross = params[m - 1] + fraction * (1.0 - params[m - 1])
+    cross = curve.eval(t_cross)
+    along = curve.points[0] - curve.points[m - 1]
+    normal = along / np.linalg.norm(along)
+    side = np.cross(normal, [0.0, 0.0, 1.0])
+    radius = 0.1 * np.linalg.norm(along)
+    sphere = Sphere(cross + radius * side / np.linalg.norm(side), radius, normal, 3)
+    columns = (sphere.center[:, None], np.array([radius]), normal[:, None])
+    (k,) = _nearest_vertices(curve, *columns)
+    (t,) = _nearest_params(curve, *columns)
+    assert k == {"last": m - 1, "first": 0}[vertex]
+    assert params[m - 1] <= t < 1.0
+    assert modular_distance(t, t_cross) <= 1e-12
+    golden = sphere_distance(curve.eval(golden_touch_param(curve, k, sphere)), sphere)
+    assert sphere_distance(curve.eval(t), sphere) <= golden + sphere_slack(curve, sphere)
 
 
 @settings(max_examples=EXAMPLES, deadline=None)

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from triscribe import (
     Curve,
+    InvalidArgumentError,
     NumericalDegeneracyError,
     PlanarPath,
     RefineFailedError,
@@ -11,7 +14,9 @@ from triscribe import (
     equilateral_shape,
     make_curve,
     ratio_path,
+    refine_similar,
     solve_equilateral,
+    solve_similar,
     winding_closed,
 )
 from triscribe.oracle import brute_force_similar
@@ -121,6 +126,21 @@ class TestScaleFreeAcceptance:
     def test_residual_tol_keyword(self):
         fold = make_curve("u_turn", samples=1024)
         assert 0.4 < solve_equilateral(fold, residual_tol=1.0).triangle.max_residual < 1.0
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("solve", [
+        lambda curve, tol: solve_similar(curve, equilateral_shape(), residual_tol=tol),
+        lambda curve, tol: solve_equilateral(curve, residual_tol=tol),
+        lambda curve, tol: refine_similar(curve, equilateral_shape(), 0.3, 0.6, tol),
+    ], ids=["solve_similar", "solve_equilateral", "refine_similar"])
+    def test_residual_tol_must_be_positive_and_finite(self, solve, tol):
+        """Refused before the curve is touched (a stand-in with no curve
+        attributes shows it), and on the folded curve whose best triangle
+        has residual 0.44, which a NaN or infinite tolerance would accept."""
+        with pytest.raises(InvalidArgumentError, match="residual_tol"):
+            solve(None, tol)
+        with pytest.raises(InvalidArgumentError, match="residual_tol"):
+            solve(make_curve("u_turn", samples=1024, leg=1e9), tol)
 
     @pytest.mark.parametrize("name, accepted", [("circle", True), ("ellipse", True),
                                                 ("u_turn", False)])

@@ -593,6 +593,27 @@ def test_grid_memory_is_bounded(monkeypatch, name, kwargs, samples, angles):
     assert peaks[0] < 2 * 2**20
 
 
+def test_touch_pass_memory_is_bounded():
+    """The touch parameters of the corner_wedge 90-45-45 continuum's 256 grid
+    spheres at m = 65536 take no whole-curve temporary: the nearest vertices
+    come from a bounded number of (sphere, block) pairs a pass, and the
+    segment search from at most ``PAIR_BUDGET`` samples a pass.  The curve's
+    cached arrays are built first."""
+    curve = make_curve("corner_wedge", samples=65536)
+    curve.columns, curve.bounds, curve.blocks
+    center, radius, normal = grid_spheres(curve, shape_from_degrees(90, 45, 45), 256)
+    center, normal = np.ascontiguousarray(center.T), np.ascontiguousarray(normal.T)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        params = solvers._nearest_params(curve, center, radius, normal)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert params.shape == (256,)
+    assert peak < 2 * 2**20
+
+
 def test_near_base_memory_is_bounded():
     """The sweep's start parameter takes no whole-curve temporary: the
     minimum distance measures only the blocks the block index cannot rule

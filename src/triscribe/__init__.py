@@ -17,15 +17,6 @@ from .errors import (
     SingularPathError,
     TriscribeError,
 )
-from .frames import (
-    ScaledIsometry,
-    Sphere,
-    apply_frame,
-    canonical_frame,
-    cylindrical_project,
-    rotation_aligning,
-    third_vertex_sphere,
-)
 from .shape import TriangleShape, equilateral_shape, residuals, shape_from_angles, shape_from_degrees
 from .solvers import (
     AngleConditionReport,
@@ -43,10 +34,8 @@ from .solvers import (
     refine_similar,
     solve_equilateral,
     solve_similar,
-    sphere_winding,
     sweep_similar,
 )
-from .winding import PlanarPath, angle_sweep, concat_paths, passes_through, reverse_path, winding_closed
 
 __version__ = "0.1.0"
 
@@ -60,43 +49,29 @@ __all__ = [
     "InvalidArgumentError",
     "NoBracketError",
     "NumericalDegeneracyError",
-    "PlanarPath",
     "RefineFailedError",
-    "ScaledIsometry",
     "SimilarOutcome",
     "SingularPathError",
-    "Sphere",
     "SweepResult",
     "TriangleShape",
     "TriscribeError",
     "WindingSample",
-    "angle_sweep",
-    "apply_frame",
-    "canonical_frame",
     "check_hypothesis",
     "check_strong_monotone",
     "chord_angle_bounds",
     "completed_report",
-    "concat_paths",
     "curve_from_json",
     "curve_from_spec",
-    "cylindrical_project",
     "equilateral_shape",
     "load_curve",
     "make_curve",
     "near_base_param",
-    "passes_through",
     "ratio_path",
     "refine_similar",
     "residuals",
-    "reverse_path",
-    "rotation_aligning",
     "shape_from_angles",
     "shape_from_degrees",
     "solve_equilateral",
     "solve_similar",
-    "sphere_winding",
     "sweep_similar",
-    "third_vertex_sphere",
-    "winding_closed",
 ]

@@ -23,7 +23,6 @@ import numpy as np
 from . import __version__
 from .curve import load_curve, make_curve
 from .errors import InvalidArgumentError, NoBracketError, RefineFailedError, TriscribeError
-from .frames import cylindrical_project
 from .shape import shape_from_degrees
 from .solvers import (
     EPSILON_LADDER,
@@ -194,6 +193,16 @@ def _emit(report, args):
         print(text)
 
 
+def cylindrical_project(x):
+    """Collapse the first n-1 coordinates to their radius: x -> (d, x_n),
+    the plane in which ``plot --project`` draws a curve that is not 2-D.
+    After the canonical frame of a candidate sphere, every point of the
+    sphere maps to (1, 0)."""
+    x = np.asarray(x, dtype=float)
+    d = np.sqrt((x[..., :-1] ** 2).sum(axis=-1))
+    return np.stack([d, x[..., -1]], axis=-1)
+
+
 def _plot(args, curve, triangles):
     """Write the SVGs asked for.  ``run`` has already refused --plot-svg on a
     curve that is not 2-D, unless ``plot --project`` asked for its projection."""
@@ -210,7 +219,7 @@ def _plot(args, curve, triangles):
     if args.plot_ratio_path:
         s, path_out = args.plot_ratio_path
         path = ratio_path(curve, s)
-        doc = render_svg(path_points=path.points, markers=[path.points[0], path.points[-1]])
+        doc = render_svg(path_points=path, markers=[path[0], path[-1]])
         write_svg(path_out, doc)
 
 

@@ -38,20 +38,6 @@ def row_norms(a):
     return np.sqrt((a * a).sum(axis=-1))
 
 
-def point_segment_distance(x, a, b):
-    """Exact distance from point ``x`` to the segment ``[a, b]``."""
-    x = np.asarray(x, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    ab = b - a
-    denom = float(np.dot(ab, ab))
-    if denom == 0.0:
-        return float(np.linalg.norm(x - a))
-    s = float(np.dot(x - a, ab)) / denom
-    s = min(1.0, max(0.0, s))
-    return float(np.linalg.norm(x - (a + s * ab)))
-
-
 def point_segment_distances(x, a, b):
     """Exact distance from point ``x`` to each segment ``[a[i], b[i]]``."""
     x = np.asarray(x, dtype=float)

@@ -37,9 +37,7 @@ from .errors import (
     RefineFailedError,
     SingularPathError,
 )
-from .frames import Sphere, third_vertex_sphere
 from .shape import equilateral_shape, residuals
-from .winding import PlanarPath, angle_increments, integer_winding
 
 # Window half-widths scanned for a certified angle or monotone condition, and
 # the window used when no rung passes.
@@ -48,6 +46,7 @@ FALLBACK_EPSILON = 0.05
 ANGLE_SAMPLES = 64  # chord-angle grid nodes per axis
 RATIO_SAMPLES = 1024  # points per ratio path
 SINGULAR_TOL = 1e-9  # projected distance to (1, 0) at which the curve touches the sphere
+ROUNDING_SLACK = 0.01  # distance from an integer at which an angle sum is refused
 DEDUPE_TOL = 1e-4  # parameter distance under which two found triangles are one
 BISECT_WIDTH = 1e-10  # parameter width at which bisection stops
 BISECT_DEPTH = 3  # levels of bisection midpoints per kernel call (measured; see README)
@@ -352,38 +351,57 @@ def _nearest_params(curve, center, radius, normal):
     return np.mod(t_star, 1.0)
 
 
+def _spheres(curve, ts, shape):
+    """The candidate spheres at sweep parameters ``ts``: ``(center, radius,
+    normal, live)``, a row of ``center`` and ``normal`` (G, n) and an entry
+    of ``radius`` for each live node, one whose swept point is at least
+    1e-14 times the curve's extent from the base.  A row has the bits of the
+    scalar ``third_vertex_sphere`` (``tests/reference.py``) in any batch."""
+    base = curve.origin
+    d = curve.eval_many(ts) - base
+    # The dot product of np.linalg.norm, for the scalar form's bits.
+    dist = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+    live = dist >= 1e-14 * curve.extent
+    d, dist = d[live], dist[live]
+    r1 = shape.ratio_oq * dist
+    r2 = shape.ratio_pq * dist
+    alpha = (r1 * r1 - r2 * r2 + dist * dist) / (2.0 * dist * dist)
+    rad_sq = r1 * r1 - alpha * alpha * dist * dist
+    if (rad_sq <= 0.0).any():
+        # Cannot occur for a shape built from strictly interior angles.
+        raise InfeasibleShapeError("side ratios admit no third vertex off the o-p line")
+    return base + alpha[:, None] * d, np.sqrt(rad_sq), d / dist[:, None], live
+
+
 def _touch_params(curve, ts, shape):
     """Touch parameters of the candidate spheres at sweep parameters ``ts``
-    (a list), all from one pass of ``_nearest_params``.  Each sphere is
-    third_vertex_sphere's, so a touch parameter (a refinement seed) has the
+    (a list), all from one pass of ``_nearest_params``.  Each sphere is a
+    row of ``_spheres``, so a touch parameter (a refinement seed) has the
     same bits whichever nodes share its pass."""
     if not ts:
         return []
-    base = curve.origin
-    spheres = [third_vertex_sphere(base, p, shape) for p in curve.eval_many(ts)]
-    center = np.array([s.center for s in spheres]).T
-    normal = np.array([s.normal for s in spheres]).T
-    radius = np.array([s.radius for s in spheres])
-    return _nearest_params(curve, center, radius, normal).tolist()
+    center, radius, normal, live = _spheres(curve, ts, shape)
+    if not live.all():
+        raise DegenerateConfigurationError("sphere requires p distinct from o")
+    return _nearest_params(curve, center.T, radius, normal.T).tolist()
 
 
-def _cylinder_coords(columns, sphere):
+def _cylinder_coords(columns, center, normal):
     """``(w_sq, h)`` for each vertex column x of ``columns`` (n, k), with
     v = x - center, h = v . normal and w_sq = |v - h normal|^2: the projected
     point is (sqrt(w_sq) / r, h / r)."""
-    v = columns - sphere.center[:, None]
-    h = sphere.normal @ v
+    v = columns - center[:, None]
+    h = normal @ v
     w_sq = np.einsum("ij,ij->j", v, v)
     w_sq -= h * h
     np.maximum(w_sq, 0.0, out=w_sq)
     return w_sq, h
 
 
-def _vertex_tolerance(columns, sphere):
+def _vertex_tolerance(columns, center, radius, normal):
     """1e-12 times the diameter of the projected path, the vertex tolerance of
-    ``winding_closed``.  One full pass over the curve."""
-    radius = sphere.radius
-    w_sq, h = _cylinder_coords(columns, sphere)
+    the reference ``winding_closed``.  One full pass over the curve."""
+    w_sq, h = _cylinder_coords(columns, center, normal)
     z = np.divide(h, radius, out=h)
     # sqrt and division by r are monotone, so the extremes of rho come from w_sq.
     rho_span = (math.sqrt(w_sq.max()) - math.sqrt(w_sq.min())) / radius
@@ -503,11 +521,15 @@ def _projected_windings(curve, center, radius, normal, tol):
     of ``center``, ``normal``; entries of ``radius``), and a flag for each
     sphere whose projected path is singular.
 
-    The projection of a vertex x is closed-form: with v = x - center and
-    h = v . normal it is (|v - h normal| / r, h / r), so no rotation is
-    applied.  The path is singular when a segment (the closing one included)
-    comes within ``tol`` of (1, 0), as in ``passes_through``, or a vertex within
-    vtol = 1e-12 times the path's diameter, as in ``winding_closed``.
+    The frame moves the center to the origin, rotates the normal onto the
+    last axis and scales by 1 / r; the projection collapses the first n - 1
+    coordinates to their radius, which no choice of that rotation changes.
+    So a vertex x maps to (|v - h normal| / r, h / r), with v = x - center
+    and h = v . normal, and no rotation is applied (the rotated form is the
+    reference in ``tests/reference.py``).  The path is singular when a
+    segment (the closing one included) comes within ``tol`` of (1, 0), as in
+    ``passes_through``, or a vertex within vtol = 1e-12 times the path's
+    diameter, as in ``winding_closed``.
 
     Bound, then verify.  Only segments that straddle z = 0 or end within
     2 max(tol, vtol) of it can be singular or cross the ray; every other
@@ -567,8 +589,8 @@ def _projected_windings(curve, center, radius, normal, tol):
         near_node = np.concatenate(near_node)
         near_dist = np.concatenate(near_dist)
         for g in set(near_node[~singular[near_node]].tolist()):
-            sphere = Sphere(center[g], float(radius[g]), normal[g], n)
-            singular[g] = np.any(near_dist[near_node == g] <= _vertex_tolerance(columns, sphere))
+            vtol = _vertex_tolerance(columns, center[g], radius[g], normal[g])
+            singular[g] = np.any(near_dist[near_node == g] <= vtol)
     return winding.astype(int), singular
 
 
@@ -577,26 +599,12 @@ def _node_windings(curve, ts, shape):
     all from one call of the kernel, and a mask of the nodes that have a
     sphere: a node whose swept point coincides with the base has none, and
     its winding and flag are meaningless."""
-    base = curve.origin
-    d = curve.eval_many(ts) - base
-    # The dot product of np.linalg.norm, so that the spheres below are those
-    # of third_vertex_sphere.
-    dist = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
-    live = dist >= 1e-14 * curve.extent
+    center, radius, normal, live = _spheres(curve, ts, shape)
     winding = np.zeros(ts.size, dtype=int)
     singular = np.zeros(ts.size, dtype=bool)
     if live.any():
-        d, dist = d[live], dist[live]
-        # third_vertex_sphere, one row per live node.
-        r1 = shape.ratio_oq * dist
-        r2 = shape.ratio_pq * dist
-        alpha = (r1 * r1 - r2 * r2 + dist * dist) / (2.0 * dist * dist)
-        rad_sq = r1 * r1 - alpha * alpha * dist * dist
-        if (rad_sq <= 0.0).any():
-            raise InfeasibleShapeError("side ratios admit no third vertex off the o-p line")
-        winding[live], singular[live] = _projected_windings(
-            curve, base + alpha[:, None] * d, np.sqrt(rad_sq), d / dist[:, None], SINGULAR_TOL
-        )
+        winding[live], singular[live] = _projected_windings(curve, center, radius, normal,
+                                                            SINGULAR_TOL)
     return winding, singular, live
 
 
@@ -614,15 +622,6 @@ def _sphere_windings(curve, ts, shape):
         else:
             samples[g] = WindingSample(t=t, winding=int(winding[g]), singular=False)
     return samples
-
-
-def sphere_winding(curve, t, shape):
-    """Winding invariant of the projected, re-framed curve at sweep parameter
-    t: the one-node call of the sweep grid's kernel."""
-    (sample,) = _sphere_windings(curve, [t], shape)
-    if sample is None:
-        raise DegenerateConfigurationError("swept point coincides with the base point")
-    return sample
 
 
 def _param_at_distance(curve, target, lo, hi, samples=2048):
@@ -840,6 +839,9 @@ def refine_similar(curve, shape, t0, s0, residual_tol=1e-9):
     dimensionless side ratios, so ``residual_tol`` does not scale with the curve.
     """
     _check_residual_tol(residual_tol)
+    # A NaN seed would give a NaN triangle, whose residual no tolerance refuses.
+    if not (math.isfinite(t0) and math.isfinite(s0)):
+        raise InvalidArgumentError(f"seed parameters must be finite, got t0={t0!r}, s0={s0!r}")
     base = curve.origin
     big = 1e6
 
@@ -1017,7 +1019,8 @@ def check_strong_monotone(curve, epsilon, samples=32):
 
 
 def ratio_path(curve, s, samples=1024):
-    """Planar path of normalized side ratios for anchor parameter ``s``.
+    """Planar path of normalized side ratios for anchor parameter ``s``, as
+    a ``(samples, 2)`` array of points.
 
     The path point at parameter t compares the triangle (o, gamma(s),
     gamma(s t)) against an equilateral: coordinates are the two side ratios
@@ -1037,13 +1040,7 @@ def ratio_path(curve, s, samples=1024):
     pts = curve.eval_many(s * ts)
     r1 = row_norms(pts - base) / span
     r2 = row_norms(pts - anchor) / span
-    return PlanarPath(np.column_stack([r1 - 1.0, r2 - 1.0]), closed=False)
-
-
-def _ratio_loop(path_far, path_near):
-    """Closed loop: far-anchor path followed by the reversed near-anchor path."""
-    pts = np.vstack([path_far.points, path_near.points[::-1]])
-    return PlanarPath(pts, closed=True)
+    return np.column_stack([r1 - 1.0, r2 - 1.0])
 
 
 @dataclass(frozen=True)
@@ -1059,20 +1056,39 @@ class _FarHalf:
     turns: list
 
     @classmethod
-    def of(cls, path_far):
-        pts = path_far.points
+    def of(cls, pts):
         return cls(pts, np.hypot(pts[:, 0], pts[:, 1]), pts.min(axis=0), pts.max(axis=0),
                    angle_increments(pts))
 
 
+def angle_increments(v):
+    """The turn, atan2(cross, dot), in (-pi, pi], from each row of ``v``
+    (positions relative to the base) to the next, as a list."""
+    x0, y0 = v[:-1, 0], v[:-1, 1]
+    x1, y1 = v[1:, 0], v[1:, 1]
+    cross = x0 * y1 - y0 * x1
+    dot = x0 * x1 + y0 * y1
+    return np.arctan2(cross, dot).tolist()
+
+
+def integer_winding(sweep):
+    """The integer a closed path's angle sweep (in full turns) rounds to."""
+    nearest = round(sweep)
+    if abs(sweep - nearest) >= ROUNDING_SLACK:
+        raise NumericalDegeneracyError(
+            f"angle sweep {sweep!r} is not close to an integer; refine the path"
+        )
+    return int(nearest)
+
+
 def _loop_winding(curve, far, s, samples):
-    """``winding_closed`` around the origin of ``_ratio_loop`` of the far
-    path (``far``, a ``_FarHalf``) and the near path at anchor ``s``, with
-    the same bits and errors.  Only the near path's turns and those of the
+    """``winding_closed`` of ``tests/reference.py`` around the origin of its
+    ``ratio_loop`` of the far path (``far``, a ``_FarHalf``) and the near
+    path at anchor ``s``, with the same bits and errors.  Only the near path's turns and those of the
     two junction segments are taken here.  The vertex tolerance comes from
     the union of the two halves' boxes, and math.fsum is exactly rounded
     whatever the order of the turns, so the sum is the whole loop's."""
-    near = ratio_path(curve, s, samples).points[::-1]
+    near = ratio_path(curve, s, samples)[::-1]
     span = np.maximum(far.upper, near.max(axis=0)) - np.minimum(far.lower, near.min(axis=0))
     tol = 1e-12 * max(float(np.hypot(span[0], span[1])), 1e-300)
     radii = np.concatenate([far.radii, np.hypot(near[:, 0], near[:, 1])])
@@ -1159,7 +1175,7 @@ def solve_equilateral(curve, base_param=0.0, residual_tol=1e-9):
             lo = mid
     s_star = s_hit if s_hit is not None else 0.5 * (lo + hi)
     probe = ratio_path(work, s_star, max(m, 2048))
-    t_star = float(np.argmin(row_norms(probe.points))) / (max(m, 2048) - 1)
+    t_star = float(np.argmin(row_norms(probe))) / (max(m, 2048) - 1)
     triangle = refine_similar(work, equilateral_shape(), s_star, s_star * t_star, residual_tol)
     return EquilateralOutcome(
         triangle=triangle,

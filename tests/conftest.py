@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from triscribe import Curve, make_curve
-from triscribe.curve import point_segment_distance, point_segment_distances
+from triscribe.curve import point_segment_distances
+
+from reference import point_segment_distance
 
 
 @pytest.fixture(scope="session")

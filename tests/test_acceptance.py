@@ -12,7 +12,6 @@ import pytest
 
 from triscribe import (
     Curve,
-    PlanarPath,
     check_hypothesis,
     check_strong_monotone,
     chord_angle_bounds,
@@ -23,14 +22,19 @@ from triscribe import (
     shape_from_degrees,
     solve_equilateral,
     solve_similar,
-    sphere_winding,
-    winding_closed,
 )
-from triscribe.oracle import brute_force_similar, winding_by_crossing_count
-from triscribe.solvers import _param_at_distance, _ratio_loop
-from triscribe.winding import segment_distances
+from triscribe.solvers import _param_at_distance
 
 from conftest import pair_distance_unordered
+from reference import (
+    PlanarPath,
+    brute_force_similar,
+    ratio_loop,
+    segment_distances,
+    sphere_winding,
+    winding_by_crossing_count,
+    winding_closed,
+)
 
 EQ = equilateral_shape()
 
@@ -119,7 +123,7 @@ def test_criterion_5_reference_loop_winding(circle, ellipse):
         s_far = curve.farthest_param(curve.origin)
         clear = curve.min_distance_excluding(curve.origin, (1.0 - eps, eps))
         s_near = _param_at_distance(curve, clear / 3.0, 1.0, 1.0 - eps)
-        loop = _ratio_loop(ratio_path(curve, s_far, 1024), ratio_path(curve, s_near, 1024))
+        loop = ratio_loop(ratio_path(curve, s_far, 1024), ratio_path(curve, s_near, 1024))
         ok = ok and winding_closed(loop, np.zeros(2)) == 1
     report(5, "reference loop winds exactly once on circle and ellipse", ok)
 
@@ -135,12 +139,12 @@ def test_criterion_6_ratio_path_invariants():
         curve = curves[trial % len(curves)]
         s = float(rng.uniform(0.05, 0.95))
         path = ratio_path(curve, s, 256)
-        ok = ok and path.points[0, 0] == -1.0 and path.points[0, 1] == 0.0
-        ok = ok and path.points[-1, 0] == 0.0 and path.points[-1, 1] == -1.0
+        ok = ok and path[0, 0] == -1.0 and path[0, 1] == 0.0
+        ok = ok and path[-1, 0] == 0.0 and path[-1, 1] == -1.0
     for curve in curves:
         s_far = curve.farthest_param(curve.origin)
         far_path = ratio_path(curve, s_far, 1024)
-        ok = ok and float(far_path.points[:, 0].max()) <= 1e-12
+        ok = ok and float(far_path[:, 0].max()) <= 1e-12
         eps = next(
             (e for e in (0.2, 0.1, 0.05, 0.02, 0.01) if check_strong_monotone(curve, e)), None
         )
@@ -149,7 +153,7 @@ def test_criterion_6_ratio_path_invariants():
             continue
         clear = curve.min_distance_excluding(curve.origin, (1.0 - eps, eps))
         s_near = _param_at_distance(curve, clear / 3.0, 1.0, 1.0 - eps)
-        near_path = ratio_path(curve, s_near, 2048).points
+        near_path = ratio_path(curve, s_near, 2048)
         in_open_third_quadrant = (near_path[:, 0] < -1e-12) & (near_path[:, 1] < -1e-12)
         ok = ok and not bool(in_open_third_quadrant.any())
     report(6, "ratio-path endpoint/quadrant invariants on 100 random (curve, s)", ok)

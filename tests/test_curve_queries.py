@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from triscribe import Curve
 from triscribe.curve import BLOCK_SIZE
-from triscribe.frames import Sphere
 from triscribe.solvers import (
     _convex_pieces,
     _nearest_params,
@@ -26,6 +25,7 @@ from triscribe.solvers import (
 )
 
 from conftest import min_distance_loop, modular_distance, one_row_distance, scalar_golden_max
+from reference import Sphere
 
 EXAMPLES = 60
 

@@ -3,16 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from triscribe import (
-    DegenerateConfigurationError,
+from triscribe import DegenerateConfigurationError, shape_from_angles, shape_from_degrees
+from triscribe.cli import cylindrical_project
+
+from reference import (
     ScaledIsometry,
     Sphere,
     apply_frame,
     canonical_frame,
-    cylindrical_project,
     rotation_aligning,
-    shape_from_angles,
-    shape_from_degrees,
     third_vertex_sphere,
 )
 

@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 
-from triscribe import PlanarPath, equilateral_shape, shape_from_degrees, winding_closed
-from triscribe.oracle import brute_force_similar, winding_by_crossing_count
-from triscribe.winding import segment_distances
+from triscribe import equilateral_shape, shape_from_degrees
 
 from conftest import pair_distance_unordered
+from reference import (
+    PlanarPath,
+    brute_force_similar,
+    segment_distances,
+    winding_by_crossing_count,
+    winding_closed,
+)
 
 
 class TestBruteForce:

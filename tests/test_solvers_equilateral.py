@@ -7,7 +7,6 @@ from triscribe import (
     Curve,
     InvalidArgumentError,
     NumericalDegeneracyError,
-    PlanarPath,
     RefineFailedError,
     SingularPathError,
     check_strong_monotone,
@@ -17,13 +16,11 @@ from triscribe import (
     refine_similar,
     solve_equilateral,
     solve_similar,
-    winding_closed,
 )
-from triscribe.oracle import brute_force_similar
 from triscribe import solvers
-from triscribe.solvers import _ratio_loop
 
 from conftest import pair_distance_unordered
+from reference import brute_force_similar, ratio_loop, winding_closed
 
 ORIGIN = np.zeros(2)
 
@@ -50,18 +47,18 @@ class TestRatioPath:
     def test_endpoints_machine_exact(self, circle4096):
         for s in (0.2, 1.0 / 3.0, 0.5, 0.77):
             path = ratio_path(circle4096, s, 256)
-            assert path.points[0, 0] == -1.0 and path.points[0, 1] == 0.0
-            assert path.points[-1, 0] == 0.0 and path.points[-1, 1] == -1.0
+            assert path[0, 0] == -1.0 and path[0, 1] == 0.0
+            assert path[-1, 0] == 0.0 and path[-1, 1] == -1.0
 
     def test_circle_regular_triangle_crossing(self, circle4096):
         path = ratio_path(circle4096, 2.0 / 3.0, 1025)  # odd count samples t = 1/2 exactly
-        mid = path.points[512]
+        mid = path[512]
         assert np.linalg.norm(mid) < 1e-6
 
     def test_farthest_anchor_stays_left(self, circle4096):
         s1 = circle4096.farthest_param(circle4096.origin)
         path = ratio_path(circle4096, s1, 1024)
-        assert np.max(path.points[:, 0]) <= 1e-12
+        assert np.max(path[:, 0]) <= 1e-12
 
 
 class TestReferenceLoop:
@@ -82,7 +79,7 @@ class TestReferenceLoop:
         clear = circle4096.min_distance_excluding(base, (1.0 - eps, eps))
         s_near = _param_at_distance(circle4096, clear / 3.0, 1.0, 1.0 - eps)
         assert 1.0 - eps < s_near < 1.0
-        loop = _ratio_loop(ratio_path(circle4096, s_far, 1024), ratio_path(circle4096, s_near, 1024))
+        loop = ratio_loop(ratio_path(circle4096, s_far, 1024), ratio_path(circle4096, s_near, 1024))
         assert winding_closed(loop, ORIGIN) == 1
 
 
@@ -204,11 +201,10 @@ def test_loop_winding_is_winding_closed_of_the_loop(monkeypatch, gen, kwargs, ba
     except RefineFailedError:
         pass  # the folded u_turn: the bisection ran, the refinement failed
     work, far, s_near, samples = calls[0]
-    path_far = PlanarPath(far.points)
     s_far = work.farthest_param(work.origin)
     spread = np.linspace(s_far, s_near, 41)[1:-1].tolist()
     for s in [s for _, _, s, _ in calls] + spread:
-        loop = _ratio_loop(path_far, ratio_path(work, s, samples))
+        loop = ratio_loop(far.points, ratio_path(work, s, samples))
         want = loop_outcome(lambda: winding_closed(loop, ORIGIN))
         assert loop_outcome(lambda: loop_winding(work, far, s, samples)) == want, s
     assert len(calls) > 30
@@ -223,7 +219,7 @@ def test_loop_winding_singular_vertex_matches_winding_closed():
     samples = 1025
     s = float(curve.params[2])
     path_far = ratio_path(curve, 0.7, samples)
-    loop = _ratio_loop(path_far, ratio_path(curve, s, samples))
+    loop = ratio_loop(path_far, ratio_path(curve, s, samples))
     want = loop_outcome(lambda: winding_closed(loop, ORIGIN))
     assert want == ("singular", samples + samples // 2)
     far = solvers._FarHalf.of(path_far)

@@ -9,34 +9,37 @@ from hypothesis import strategies as st
 from triscribe import (
     Curve,
     DegenerateConfigurationError,
+    InvalidArgumentError,
     NoBracketError,
     NumericalDegeneracyError,
-    PlanarPath,
     SingularPathError,
-    apply_frame,
-    canonical_frame,
     check_hypothesis,
     chord_angle_bounds,
-    cylindrical_project,
     equilateral_shape,
     make_curve,
     near_base_param,
-    passes_through,
     refine_similar,
     shape_from_degrees,
     solve_similar,
-    sphere_winding,
     sweep_similar,
-    third_vertex_sphere,
-    winding_closed,
 )
 from triscribe import solvers
+from triscribe.cli import cylindrical_project
 from triscribe.curve import BLOCK_SIZE, GENERATORS, point_segment_distances
-from triscribe.frames import Sphere
-from triscribe.oracle import winding_by_crossing_count
 from triscribe.solvers import FALLBACK_EPSILON, SINGULAR_TOL
 
 from conftest import modular_distance, pair_distance_unordered
+from reference import (
+    PlanarPath,
+    Sphere,
+    apply_frame,
+    canonical_frame,
+    passes_through,
+    sphere_winding,
+    third_vertex_sphere,
+    winding_by_crossing_count,
+    winding_closed,
+)
 
 EQ = equilateral_shape()
 RIGHT_ISOCELES = shape_from_degrees(90, 45, 45)
@@ -293,9 +296,9 @@ def test_kernel_exact_vertex_tolerance_for_tiny_sphere(monkeypatch, offset, sing
     exact_vertex_tolerance = solvers._vertex_tolerance
     calls = []
 
-    def counted(columns, sphere):
-        calls.append(sphere)
-        return exact_vertex_tolerance(columns, sphere)
+    def counted(columns, center, radius, normal):
+        calls.append(center)
+        return exact_vertex_tolerance(columns, center, radius, normal)
 
     monkeypatch.setattr(solvers, "_vertex_tolerance", counted)
     r = math.sqrt(3.0) / 2.0 * 1e-3
@@ -310,12 +313,12 @@ def test_kernel_exact_vertex_tolerance_for_tiny_sphere(monkeypatch, offset, sing
     assert sample.winding == rotated_reference_winding(curve, t, EQ)
 
 
-def full_pass_candidates(curve, sphere, tol):
+def full_pass_candidates(curve, center, radius, normal, tol):
     """The candidate segments of a full-array pass: ends within
     2 max(tol, vtol) of z = 0, or straddling it, in the exact projection."""
-    _, h = solvers._cylinder_coords(curve.columns, sphere)
-    z = h / sphere.radius
-    thr = 2.0 * max(tol, solvers._vertex_tolerance(curve.columns, sphere))
+    _, h = solvers._cylinder_coords(curve.columns, center, normal)
+    z = h / radius
+    thr = 2.0 * max(tol, solvers._vertex_tolerance(curve.columns, center, radius, normal))
     near = np.abs(z) <= thr
     below = z < 0.0
     return np.flatnonzero((below != np.roll(below, -1)) | near | np.roll(near, -1))
@@ -358,9 +361,9 @@ def assert_candidates_contain_full_pass(curve, center, radius, normal):
     found = candidate_pairs(curve, center, radius, normal)
     bound = solvers._vertex_tolerance_bound(curve, center, radius)
     for k in range(len(radius)):
-        sphere = Sphere(center[k], radius[k], normal[k], curve.dimension)
-        assert bound[k] >= solvers._vertex_tolerance(curve.columns, sphere)
-        for j in full_pass_candidates(curve, sphere, SINGULAR_TOL):
+        sphere = center[k], radius[k], normal[k]
+        assert bound[k] >= solvers._vertex_tolerance(curve.columns, *sphere)
+        for j in full_pass_candidates(curve, *sphere, SINGULAR_TOL):
             assert (k, int(j)) in found, (k, j)
 
 
@@ -473,6 +476,22 @@ def grid_spheres(curve, shape, grid_size):
     spheres = [third_vertex_sphere(curve.origin, p, shape) for p in curve.eval_many(ts)]
     return (np.array([s.center for s in spheres]), np.array([s.radius for s in spheres]),
             np.array([s.normal for s in spheres]))
+
+
+@pytest.mark.parametrize("name,kwargs,angles", GRID_CASES)
+def test_sphere_rows_are_the_reference_spheres(name, kwargs, angles):
+    """Every node of a 257-node sweep grid gets the reference
+    ``third_vertex_sphere``'s center, radius and normal, to the bit, in one
+    batch and one node at a time."""
+    curve = make_curve(name, **{"samples": 1024, **kwargs})
+    shape = shape_from_degrees(*angles)
+    t_far = curve.farthest_param(curve.origin)
+    ts = np.linspace(near_base_param(curve, shape, FALLBACK_EPSILON), t_far, 257)
+    want = [rows.tobytes() for rows in grid_spheres(curve, shape, 257)]
+    *batch, live = solvers._spheres(curve, ts, shape)
+    assert live.all() and [rows.tobytes() for rows in batch] == want
+    alone = [solvers._spheres(curve, ts[g:g + 1], shape)[:3] for g in range(ts.size)]
+    assert [np.concatenate(rows).tobytes() for rows in zip(*alone)] == want
 
 
 @pytest.mark.parametrize("multiple", [None, 1])
@@ -657,8 +676,13 @@ class TestDropped:
 
     @pytest.mark.parametrize("t", [0.0, REVISIT], ids=["start", "revisit"])
     def test_one_node_call_at_the_base_raises(self, t):
+        """No sphere there, so neither the kernel nor the touch pass has one."""
+        live = solvers._spheres(FIGURE_EIGHT, np.array([t, 0.5 * REVISIT]), EQ)[3]
+        assert live.tolist() == [False, True]
         with pytest.raises(DegenerateConfigurationError):
             sphere_winding(FIGURE_EIGHT, t, EQ)
+        with pytest.raises(DegenerateConfigurationError):
+            solvers._touch_params(FIGURE_EIGHT, [t], EQ)
 
     def test_bisection_midpoint_on_a_revisit_of_the_base(self):
         """The invariant changes across the revisit (the swept point passes
@@ -770,6 +794,18 @@ class TestSolveSimilar:
         assert abs(found[0] - 1.0 / 3.0) < 1e-4 and abs(found[1] - 2.0 / 3.0) < 1e-4
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("seed", ["t0", "s0"])
+def test_refine_refuses_a_seed_that_is_not_finite(seed, value):
+    """A NaN or infinite seed parameter is refused before any work (a stand-in
+    with no curve attributes shows it), not carried to a NaN triangle."""
+    seeds = {"t0": 0.3, "s0": 0.6, seed: value}
+    with pytest.raises(InvalidArgumentError, match=f"{seed}={value!r}"):
+        refine_similar(None, EQ, **seeds)
+    with pytest.raises(InvalidArgumentError, match=f"{seed}={value!r}"):
+        refine_similar(make_curve("ellipse", samples=256), EQ, **seeds)
+
+
 class TestKeywords:
     def test_sweep_defaults_to_fallback_epsilon(self, circle4096):
         result = sweep_similar(circle4096, EQ, grid_size=64)
@@ -828,7 +864,7 @@ class TestNearBaseParam:
 
 class TestAgainstBruteForce:
     def test_ellipse_equilateral_matches_grid_optimum(self, ellipse4096):
-        from triscribe.oracle import brute_force_similar
+        from reference import brute_force_similar
 
         outcome = solve_similar(ellipse4096, EQ)
         optimum = brute_force_similar(ellipse4096, EQ, 512)

@@ -22,7 +22,7 @@ from .errors import InvalidArgumentError
 MIN_VERTICES = 4
 MIN_SAMPLES = 16
 BLOCK_SIZE = 64  # segments per box of the block bounding-box index
-PRUNE_BLOCKS = 32  # blocks taken per exact pass of a block-pruned query
+PRUNE_BLOCKS = 32  # (query, block) pairs per pass of the block search
 _BLOCK_SPAN = np.arange(BLOCK_SIZE)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -61,34 +61,6 @@ def _segment_lengths(columns):
         step[-1] = x[0] - x[-1]
         sq += step * step
     return np.sqrt(sq)
-
-
-def _least(floor, values_of, best=math.inf):
-    """Least ``(value, index)`` over the blocks of a curve's block index, ties
-    going to the smaller index; ``(best, -1)`` if nothing is below ``best``.
-
-    ``values_of(ids)`` gives the values of the blocks ``ids`` (ascending) and
-    the index of each value, ascending too; ``floor[b]`` bounds every value
-    of block b from below.  The block of lowest floor, which most often
-    holds the least value, is measured first, then the others
-    ``PRUNE_BLOCKS`` at a time; a block whose floor exceeds the least value
-    so far is skipped, so it cannot hold the least value.
-    """
-    at = -1
-    pending = np.ones(floor.size, dtype=bool)
-    ids = np.array([np.argmin(floor)])
-    while True:
-        ids = ids[floor[ids] <= best]
-        if ids.size:
-            values, index = values_of(ids)
-            k = int(np.argmin(values))
-            if values[k] < best or (values[k] == best and index[k] < at):
-                best, at = float(values[k]), int(index[k])
-            pending[ids] = False
-        pending &= floor <= best
-        ids = np.flatnonzero(pending)[:PRUNE_BLOCKS]
-        if ids.size == 0:
-            return best, at
 
 
 class Curve:
@@ -283,6 +255,58 @@ class Curve:
 
     # -- distance queries ------------------------------------------------
 
+    def _checked_base(self, base):
+        """``base`` as an array, refused unless a finite point of the curve's space."""
+        base = np.asarray(base, dtype=float)
+        if base.shape != (self.dimension,):
+            raise InvalidArgumentError("base point dimension mismatch")
+        if not np.all(np.isfinite(base)):
+            raise InvalidArgumentError("base point must be finite")
+        return base
+
+    def _least(self, floor, values, best=None):
+        """Least ``(value, index)`` of each query, a row of ``floor`` (G, k), over
+        the vertices (or the segments they start) of ``blocks``, ties going to
+        the smaller index: two arrays, with ``best`` (default inf) and -1
+        where nothing is below it.  ``values(g, j)`` gives the values of the
+        vertices j for the queries g, and ``floor[g, b]`` bounds every value
+        of block b for query g from below.  Each query's block of lowest
+        floor, which most often holds its least value, is measured first,
+        then every block whose floor does not exceed the least value so far
+        (any other cannot hold it), ``PRUNE_BLOCKS`` (query, block) pairs at a
+        time."""
+        count = floor.shape[0]
+        best = np.full(count, math.inf) if best is None else np.array(best, dtype=float)
+        at = np.full(count, -1)
+        pending = np.ones(floor.shape, dtype=bool)
+        lowest = np.argmin(floor, axis=1)
+        # A query whose lowest floor exceeds ``best`` has no block to measure.
+        g = np.flatnonzero(floor[np.arange(count), lowest] <= best)
+        b = lowest[g]
+        while g.size:
+            pending[g, b] = False
+            # Block b holds vertices b B ... b B + B - 1, capped at the last.
+            j = (b[:, None] * BLOCK_SIZE + _BLOCK_SPAN).ravel()
+            real = j < self.n_vertices
+            query, index = np.repeat(g, BLOCK_SIZE)[real], j[real]
+            value = values(query, index)
+            # Pairs come query by query, blocks ascending: each query's values
+            # are contiguous, indices ascending, so its first least wins.
+            if count == 1:  # the grouping below, in one call
+                lead = np.argmin(value, keepdims=True)
+            else:
+                first = np.concatenate(([True], query[1:] != query[:-1]))
+                group = np.cumsum(first) - 1
+                least = np.minimum.reduceat(value, np.flatnonzero(first))
+                hit = np.flatnonzero(value == least[group])
+                lead = hit[np.concatenate(([True], np.diff(group[hit]) != 0))]
+            q, v, i = query[lead], value[lead], index[lead]
+            win = (v < best[q]) | ((v == best[q]) & (i < at[q]))
+            best[q[win]], at[q[win]] = v[win], i[win]
+            g, b = np.nonzero(pending & (floor <= best[:, None]))
+            g, b = g[:PRUNE_BLOCKS], b[:PRUNE_BLOCKS]
+        return best, at
+
     def farthest_param(self, base):
         """Parameter of the first vertex farthest from ``base``.
 
@@ -293,20 +317,16 @@ class Curve:
         are measured farthest box first, and a block whose box lies nearer
         than the farthest vertex so far is skipped.
         """
-        base = np.asarray(base, dtype=float)
-        if base.shape != (self.dimension,):
-            raise InvalidArgumentError("base point dimension mismatch")
-        if not np.all(np.isfinite(base)):
-            raise InvalidArgumentError("base point must be finite")
+        base = self._checked_base(base)
 
-        def negated_distances(columns):
-            sq = np.zeros(columns.shape[1])
-            for x, c in zip(columns, base):
-                step = x - c
+        def negated_distances(_, j):
+            sq = np.zeros(j.size)
+            for x, c in zip(self._columns, base):
+                step = x[j] - c
                 sq += step * step
             return -np.sqrt(sq)
 
-        k = self._least_vertex(negated_distances, -self._box_distances(base)[1])
+        _, (k,) = self._least(-self._box_distances(base[:, None])[1], negated_distances)
         return float(self._params[k])
 
     def min_distance_excluding(self, base, excluded):
@@ -324,13 +344,12 @@ class Curve:
         hold the minimum are measured, each as it would be alone, so the
         pruning does not change the result.
         """
+        base = self._checked_base(base)
         lo, hi = (float(excluded[0]), float(excluded[1]))
         if not (0.0 <= lo <= 1.0 and 0.0 <= hi <= 1.0):
             raise InvalidArgumentError("excluded interval endpoints must lie in [0, 1]")
-        retained_width = (lo - hi) % 1.0
-        if retained_width == 0.0:
+        if (lo - hi) % 1.0 == 0.0:
             raise InvalidArgumentError("excluded interval covers the whole curve")
-        base = np.asarray(base, dtype=float)
         # Retained parameter set, as plain closed intervals inside [0, 1].
         if hi <= lo:
             retained = [(hi, lo)]
@@ -364,58 +383,39 @@ class Curve:
         for s0, s1 in inner:
             overlap |= (starts < s1) & (starts + BLOCK_SIZE > s0)
 
-        def distances(ids):
-            seg = self._block_vertices(ids)
-            seg = seg[np.any([(seg >= s0) & (seg < s1) for s0, s1 in inner], axis=0)]
-            return point_segment_distances(base, self._points[seg], self._points[(seg + 1) % m]), seg
+        def distances(_, seg):
+            inside = np.any([(seg >= s0) & (seg < s1) for s0, s1 in inner], axis=0)
+            dist = point_segment_distances(base, self._points[seg], self._points[(seg + 1) % m])
+            return np.where(inside, dist, math.inf)
 
-        floor = np.where(overlap, self._box_distances(base)[0], math.inf)
-        best, _ = _least(floor, distances, float(np.concatenate(ends).min()))
-        return best
-
-    def _block_vertices(self, ids):
-        """Vertices b B ... b B + B - 1 of each block b of ``ids``, capped at the
-        last vertex: the vertices, and the starts of the segments, that lie
-        in block b's box."""
-        j = (ids[:, None] * BLOCK_SIZE + _BLOCK_SPAN).ravel()
-        return j[j < self.n_vertices]
-
-    def _least_vertex(self, values, floor):
-        """The first vertex with the least value, ``values(x)`` giving the
-        values of vertex columns ``x`` (n, k) and ``floor[b]`` a lower bound
-        on the values of block b's vertices; blocks are measured lowest floor
-        first, and a block whose floor exceeds the least value so far is
-        skipped."""
-
-        def of_blocks(ids):
-            j = self._block_vertices(ids)
-            return values(self._columns[:, j]), j
-
-        return _least(floor, of_blocks)[1]
+        floor = np.where(overlap, self._box_distances(base[:, None])[0], math.inf)
+        (best,), _ = self._least(floor, distances, [np.concatenate(ends).min()])
+        return float(best)
 
     def _box_distances(self, x):
-        """Lower and upper bounds, per block, on the distance from ``x`` to the
-        points of the block's box.  The bounds are widened by a bound on the
-        rounding of the box and of a distance taken from vertex coordinates."""
+        """Lower and upper bounds on the distance from each point, a column of
+        ``x`` (n, G), to the points of each block's box, as (G, k) arrays.  The
+        bounds are widened by a bound on the rounding of the box and of a
+        distance taken from vertex coordinates."""
         mid, half = self.blocks
         lower, upper = self.bounds
-        gap = np.abs(mid - x[:, None])
-        near = np.sqrt((np.maximum(gap - half, 0.0) ** 2).sum(axis=0))
-        far = np.sqrt(((gap + half) ** 2).sum(axis=0))
+        gap = np.abs(mid[:, None, :] - x[:, :, None])
+        near = np.sqrt((np.maximum(gap - half[:, None, :], 0.0) ** 2).sum(axis=0))
+        far = np.sqrt(((gap + half[:, None, :]) ** 2).sum(axis=0))
         # Every rounding error of those is a few ulps of the sizes below.
-        reach = float(np.linalg.norm(np.maximum(-lower, upper)) + np.linalg.norm(x))
-        slack = (self.dimension + 8) * 2.0 ** -50 * reach
+        reach = float(np.linalg.norm(np.maximum(-lower, upper))) + row_norms(x.T)
+        slack = (self.dimension + 8) * 2.0 ** -50 * reach[:, None]
         return near - slack, far + slack
 
 
-def _golden_max(f, lo, hi, iters=80):
+def _golden_max(f, lo, hi):
     """Golden-section search for a maximum of f on [lo, hi]; stops once the
-    bracket is narrower than 1e-14."""
+    bracket is narrower than 1e-14, or after 80 steps."""
     a, b = float(lo), float(hi)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(80):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)

@@ -18,7 +18,8 @@ class InfeasibleShapeError(TriscribeError):
 
 
 class SingularPathError(TriscribeError):
-    """A planar path has a vertex at (or numerically on) the winding base.
+    """A planar path has a vertex at (or numerically on) the winding base, or
+    crosses an axis through it within rounding of it.
 
     For the solvers this is not a failure: it signals that the swept sphere
     touches the curve, i.e. the event being hunted.
@@ -30,7 +31,7 @@ class SingularPathError(TriscribeError):
 
 
 class NumericalDegeneracyError(TriscribeError):
-    """A closed-path angle sweep failed to round cleanly to an integer."""
+    """A closed-path angle sweep (the reference winding) failed to round to an integer."""
 
 
 class NoBracketError(TriscribeError):

@@ -27,13 +27,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curve import _BLOCK_SPAN, BLOCK_SIZE, _golden_max, row_norms
+from .curve import BLOCK_SIZE, _golden_max, row_norms
 from .errors import (
     DegenerateConfigurationError,
     InfeasibleShapeError,
     InvalidArgumentError,
     NoBracketError,
-    NumericalDegeneracyError,
     RefineFailedError,
     SingularPathError,
 )
@@ -44,9 +43,10 @@ from .shape import equilateral_shape, residuals
 EPSILON_LADDER = (0.2, 0.1, 0.05, 0.02, 0.01)
 FALLBACK_EPSILON = 0.05
 ANGLE_SAMPLES = 64  # chord-angle grid nodes per axis
-RATIO_SAMPLES = 1024  # points per ratio path
+RATIO_SAMPLES = 1024  # points per ratio path of a loop winding
+PROBE_SAMPLES = 2048  # points of the ratio path probed for the third vertex's seed
+DISTANCE_SAMPLES = 2048  # parameters of the scan of _param_at_distance
 SINGULAR_TOL = 1e-9  # projected distance to (1, 0) at which the curve touches the sphere
-ROUNDING_SLACK = 0.01  # distance from an integer at which an angle sum is refused
 DEDUPE_TOL = 1e-4  # parameter distance under which two found triangles are one
 BISECT_WIDTH = 1e-10  # parameter width at which bisection stops
 BISECT_DEPTH = 3  # levels of bisection midpoints per kernel call (measured; see README)
@@ -174,17 +174,15 @@ def _nearest_vertices(curve, center, radius, normal):
     ``_sphere_distances``.
 
     A point x lies at least ||x - center| - r| and at least |h| from the
-    sphere.  Over a block's box of the curve's block index both are bounded
-    below, widened by a bound on the rounding of the box, of the distances
-    and of the dot products, which gives a floor for each (sphere, block)
-    pair.  The vertices of each sphere's block of lowest floor give a least
-    distance so far, and every block whose floor does not exceed it is
-    measured: only blocks that can hold the least distance, so the pruning
-    does not change the result.  Spheres are taken in chunks and the
-    measured blocks in slices, so that no pass holds more than
-    ``PAIR_BUDGET`` (sphere, block) or (sphere, vertex) pairs.
+    sphere.  Over a block's box of the curve's block index the first is
+    bounded below through ``Curve._box_distances`` and the second by the
+    box's reach along the normal; widened by a bound on the rounding of the
+    box, of the distances and of the dot products, they give a floor for
+    each (sphere, block) pair, under which ``Curve._least`` finds the
+    nearest vertex measuring only blocks that can hold it.  Spheres are
+    taken in chunks of at most ``PAIR_BUDGET`` (sphere, block) pairs, and a
+    pass of the search measures ``PAIR_BUDGET`` (sphere, vertex) pairs.
     """
-    m = curve.n_vertices
     columns = curve.columns
     lower, upper = curve.bounds
     mid, half = curve.blocks
@@ -192,43 +190,21 @@ def _nearest_vertices(curve, center, radius, normal):
     reach = float(np.linalg.norm(np.maximum(-lower, upper))) + row_norms(center.T) + radius
     slack = (n + 8) * 2.0 ** -50 * reach
     offset = (normal * center).sum(axis=0)
-
-    def measured(node, block):
-        """Distances of the vertices of each (sphere, block) pair, with
-        their spheres and vertex indices, in pair order."""
-        j = (block[:, None] * BLOCK_SIZE + _BLOCK_SPAN).ravel()
-        g = np.repeat(node, BLOCK_SIZE)
-        real = j < m
-        j, g = j[real], g[real]
-        return _sphere_distances(columns[:, j], center[:, g], radius[g], normal[:, g]), g, j
-
-    best = np.full(count, math.inf)
-    nearest = np.zeros(count, dtype=int)
+    nearest = np.empty(count, dtype=int)
     chunk = max(1, PAIR_BUDGET // max(mid.shape[1], BLOCK_SIZE))
-    per_slice = max(1, PAIR_BUDGET // BLOCK_SIZE)
     for g0 in range(0, count, chunk):
-        g1 = min(g0 + chunk, count)
-        gap = np.abs(mid[:, None, :] - center[:, g0:g1, None])
-        near = np.sqrt((np.maximum(gap - half[:, None, :], 0.0) ** 2).sum(axis=0))
-        far = np.sqrt(((gap + half[:, None, :]) ** 2).sum(axis=0))
-        r = radius[g0:g1, None]
-        plane = np.abs(normal[:, g0:g1].T @ mid - offset[g0:g1, None])
-        plane -= np.abs(normal[:, g0:g1].T) @ half
-        floor = np.maximum(np.maximum(near - r, r - far), plane) - slack[g0:g1, None]
-        first, g, _ = measured(np.arange(g0, g1), np.argmin(floor, axis=1))
-        least = np.minimum.reduceat(first, np.flatnonzero(np.r_[True, g[1:] != g[:-1]]))
-        node, block = np.nonzero(floor <= least[:, None])
-        node += g0
-        # Pairs come sphere by sphere, blocks ascending, so each sphere's
-        # vertices come in ascending order and a later slice can only win
-        # with a smaller distance.
-        for s0 in range(0, node.size, per_slice):
-            dist, g, j = measured(node[s0:s0 + per_slice], block[s0:s0 + per_slice])
-            order = np.lexsort((j, dist, g))
-            lead = order[np.r_[True, g[order][1:] != g[order][:-1]]]
-            win = dist[lead] < best[g[lead]]
-            best[g[lead[win]]] = dist[lead[win]]
-            nearest[g[lead[win]]] = j[lead[win]]
+        part = slice(g0, g0 + chunk)
+        near, far = curve._box_distances(center[:, part])
+        r = radius[part, None]
+        plane = np.abs(normal[:, part].T @ mid - offset[part, None])
+        plane -= np.abs(normal[:, part].T) @ half
+        floor = np.maximum(np.maximum(near - r, r - far), plane) - slack[part, None]
+
+        def distances(g, j, g0=g0):
+            g = g + g0
+            return _sphere_distances(columns[:, j], center[:, g], radius[g], normal[:, g])
+
+        nearest[part] = curve._least(floor, distances)[1]
     return nearest
 
 
@@ -515,6 +491,20 @@ def _base_distances(rho, z):
     return np.sqrt(d_rho * d_rho + d_z * d_z)
 
 
+def _ray_crossings(ax, ay, bx, by, x0):
+    """The segments from (ax, ay) to (bx, by) (entries of four arrays) that
+    straddle the x axis, half-open (y < 0 against y >= 0) so that a vertex
+    on the axis is counted once: their indices, the abscissa of each
+    crossing, and its sign on the ray from (x0, 0) toward +x: +1 upward, -1
+    downward, 0 where the abscissa is not beyond x0.  Over a closed path the
+    signs sum to its winding number around (x0, 0) (Hormann & Agathos, CGTA
+    2001)."""
+    straddle = np.flatnonzero((ay < 0.0) != (by < 0.0))
+    ax, ay, bx, by = ax[straddle], ay[straddle], bx[straddle], by[straddle]
+    at = ax - ay * (bx - ax) / (by - ay)
+    return straddle, np.where(at > x0, np.where(by > ay, 1.0, -1.0), 0.0), at
+
+
 def _projected_windings(curve, center, radius, normal, tol):
     """Winding numbers around (1, 0) of the closed polyline ``curve`` after
     the canonical frame and cylindrical projection of each of G spheres (rows
@@ -538,8 +528,8 @@ def _projected_windings(curve, center, radius, normal, tol):
     every sphere against the curve's block index and a dot product on the
     vertices of the surviving blocks give a superset of those segments
     (``_candidate_pairs``).  The exact projection, the segment distances and
-    the crossings are taken on the flat (sphere, segment) pairs of that
-    superset, ``PAIR_BUDGET`` pairs a pass whatever sphere they belong to,
+    the crossings (``_ray_crossings``) are taken on the flat (sphere,
+    segment) pairs of that superset, ``PAIR_BUDGET`` pairs a pass whatever sphere they belong to,
     one entrywise expression for every pair, so a sphere gets the
     same answer in a batch of any size, and are summed per sphere.  The exact
     vtol costs a full pass, so it is computed only for a sphere with a
@@ -578,12 +568,8 @@ def _projected_windings(curve, center, radius, normal, tol):
         if near.any():
             near_node.append(node[near])
             near_dist.append(vertex_dist[near])
-        crossing = (z[0] < 0.0) != (z[1] < 0.0)
-        (a_rho, b_rho), (a_z, b_z), node = rho[:, crossing], z[:, crossing], node[crossing]
-        rho_at_zero = a_rho - a_z * (b_rho - a_rho) / (b_z - a_z)
-        outside = rho_at_zero > 1.0
-        signs = np.where(b_z[outside] > a_z[outside], 1.0, -1.0)
-        winding += np.bincount(node[outside], weights=signs, minlength=count)
+        crossing, signs, _ = _ray_crossings(rho[0], z[0], rho[1], z[1], 1.0)
+        winding += np.bincount(node[crossing], weights=signs, minlength=count)
     singular = touches > 0.0
     if near_node:
         near_node = np.concatenate(near_node)
@@ -624,17 +610,17 @@ def _sphere_windings(curve, ts, shape):
     return samples
 
 
-def _param_at_distance(curve, target, lo, hi, samples=2048):
+def _param_at_distance(curve, target, lo, hi):
     """First parameter between lo and hi (both in [0, 1], scanned from lo)
     where the distance to the base point crosses ``target``.
 
-    A scan of ``samples`` parameters finds the first one at or beyond the
+    A scan of ``DISTANCE_SAMPLES`` parameters finds the first one at or beyond the
     target.  Between it and the sample before, each piece of the polyline is
     straight, so |gamma(t) - o|^2 = target^2 is a quadratic in t on it; the
     answer is the first root, in scan order, on the first piece that has one.
     """
     base = curve.origin
-    ts = lo + (hi - lo) * np.arange(1, samples + 1) / samples
+    ts = lo + (hi - lo) * np.arange(1, DISTANCE_SAMPLES + 1) / DISTANCE_SAMPLES
     d = row_norms(curve.eval_many(ts) - base)
     above = np.nonzero(d >= target)[0]
     if above.size == 0:
@@ -674,6 +660,8 @@ def near_base_param(curve, shape, epsilon):
     outside the ``(1 - eps, eps)`` window; the sphere around the swept point at
     distance (clear radius) / ratio_oq lies entirely on that ball's boundary.
     """
+    if not 0.0 < epsilon < 0.5:
+        raise InvalidArgumentError("epsilon must lie in (0, 0.5)")
     clear = 0.5 * curve.min_distance_excluding(curve.origin, (1.0 - epsilon, epsilon))
     target = clear / shape.ratio_oq
     return _param_at_distance(curve, target, 0.0, epsilon)
@@ -762,9 +750,9 @@ def sweep_similar(curve, shape, grid_size=256, epsilon=FALLBACK_EPSILON):
     if grid_size < 2:
         raise InvalidArgumentError("grid size must be at least 2")
     eps = float(epsilon)
-    base = curve.origin
-    t_far = curve.farthest_param(base)
+    # near_base_param refuses a bad epsilon before any curve query runs.
     t_near = near_base_param(curve, shape, eps)
+    t_far = curve.farthest_param(curve.origin)
     if t_near >= t_far:
         raise NoBracketError(
             f"near-base parameter {t_near:.6g} does not precede the farthest parameter {t_far:.6g}"
@@ -1046,50 +1034,39 @@ def ratio_path(curve, s, samples=1024):
 @dataclass(frozen=True)
 class _FarHalf:
     """What every reference loop of a solve takes from the far-anchor path:
-    its vertices, their distances from the origin, its bounding box and the
-    turns of its segments around the origin."""
+    its vertices, their distances from the origin, its bounding box, and its
+    segments' crossings of the x axis (``_ray_crossings`` from the origin):
+    their abscissae and their signed count."""
 
     points: np.ndarray
     radii: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    turns: list
+    abscissae: np.ndarray
+    winding: int
 
     @classmethod
     def of(cls, pts):
-        return cls(pts, np.hypot(pts[:, 0], pts[:, 1]), pts.min(axis=0), pts.max(axis=0),
-                   angle_increments(pts))
+        _, signs, at = _ray_crossings(pts[:-1, 0], pts[:-1, 1], pts[1:, 0], pts[1:, 1], 0.0)
+        return cls(pts, np.hypot(pts[:, 0], pts[:, 1]), pts.min(axis=0), pts.max(axis=0), at,
+                   int(signs.sum()))
 
 
-def angle_increments(v):
-    """The turn, atan2(cross, dot), in (-pi, pi], from each row of ``v``
-    (positions relative to the base) to the next, as a list."""
-    x0, y0 = v[:-1, 0], v[:-1, 1]
-    x1, y1 = v[1:, 0], v[1:, 1]
-    cross = x0 * y1 - y0 * x1
-    dot = x0 * x1 + y0 * y1
-    return np.arctan2(cross, dot).tolist()
-
-
-def integer_winding(sweep):
-    """The integer a closed path's angle sweep (in full turns) rounds to."""
-    nearest = round(sweep)
-    if abs(sweep - nearest) >= ROUNDING_SLACK:
-        raise NumericalDegeneracyError(
-            f"angle sweep {sweep!r} is not close to an integer; refine the path"
-        )
-    return int(nearest)
-
-
-def _loop_winding(curve, far, s, samples):
+def _loop_winding(curve, far, s):
     """``winding_closed`` of ``tests/reference.py`` around the origin of its
     ``ratio_loop`` of the far path (``far``, a ``_FarHalf``) and the near
-    path at anchor ``s``, with the same bits and errors.  Only the near path's turns and those of the
-    two junction segments are taken here.  The vertex tolerance comes from
-    the union of the two halves' boxes, and math.fsum is exactly rounded
-    whatever the order of the turns, so the sum is the whole loop's."""
-    near = ratio_path(curve, s, samples)[::-1]
-    span = np.maximum(far.upper, near.max(axis=0)) - np.minimum(far.lower, near.min(axis=0))
+    path at anchor ``s``, as the signed count of the loop's crossings of the
+    ray from the origin toward +x; only the near path's crossings and those
+    of the two junction segments are found here.  A vertex within the vertex
+    tolerance of ``winding_closed``, from the union of the two halves' boxes,
+    raises SingularPathError at the same index.  So does a crossing within
+    2^-46 times the loop's largest |x| of the origin, a bound on the
+    rounding of its abscissa: which side of the origin it crosses on is then
+    decided by rounding, so no count certifies it."""
+    near = ratio_path(curve, s, RATIO_SAMPLES)[::-1]
+    lower = np.minimum(far.lower, near.min(axis=0))
+    upper = np.maximum(far.upper, near.max(axis=0))
+    span = upper - lower
     tol = 1e-12 * max(float(np.hypot(span[0], span[1])), 1e-300)
     radii = np.concatenate([far.radii, np.hypot(near[:, 0], near[:, 1])])
     hits = np.flatnonzero(radii <= tol)
@@ -1098,7 +1075,11 @@ def _loop_winding(curve, far, s, samples):
             f"path vertex {hits[0]} lies on the winding base", index=int(hits[0])
         )
     ends = np.vstack([far.points[-1:], near, far.points[:1]])
-    return integer_winding(math.fsum(far.turns + angle_increments(ends)) / (2.0 * math.pi))
+    _, signs, at = _ray_crossings(ends[:-1, 0], ends[:-1, 1], ends[1:, 0], ends[1:, 1], 0.0)
+    rounding = 2.0 ** -46 * max(-lower[0], upper[0])
+    if np.any(np.abs(far.abscissae) <= rounding) or np.any(np.abs(at) <= rounding):
+        raise SingularPathError("the path crosses the x axis within rounding of the winding base")
+    return far.winding + int(signs.sum())
 
 
 @dataclass
@@ -1149,11 +1130,10 @@ def solve_equilateral(curve, base_param=0.0, residual_tol=1e-9):
         raise NoBracketError(
             f"farthest parameter {s_far:.6g} does not precede the near anchor {s_near:.6g}"
         )
-    m = RATIO_SAMPLES
-    far = _FarHalf.of(ratio_path(work, s_far, m))
+    far = _FarHalf.of(ratio_path(work, s_far, RATIO_SAMPLES))
     try:
-        loop_w = _loop_winding(work, far, s_near, m)
-    except (SingularPathError, NumericalDegeneracyError):
+        loop_w = _loop_winding(work, far, s_near)
+    except SingularPathError:
         loop_w = None
     if loop_w != 1:
         warnings.append(
@@ -1165,8 +1145,8 @@ def solve_equilateral(curve, base_param=0.0, residual_tol=1e-9):
     while hi - lo > BISECT_WIDTH:
         mid = 0.5 * (lo + hi)
         try:
-            w_mid = _loop_winding(work, far, mid, m)
-        except (SingularPathError, NumericalDegeneracyError):
+            w_mid = _loop_winding(work, far, mid)
+        except SingularPathError:
             s_hit = mid
             break
         if w_mid == w_hi:
@@ -1174,8 +1154,8 @@ def solve_equilateral(curve, base_param=0.0, residual_tol=1e-9):
         else:
             lo = mid
     s_star = s_hit if s_hit is not None else 0.5 * (lo + hi)
-    probe = ratio_path(work, s_star, max(m, 2048))
-    t_star = float(np.argmin(row_norms(probe))) / (max(m, 2048) - 1)
+    probe = ratio_path(work, s_star, PROBE_SAMPLES)
+    t_star = float(np.argmin(row_norms(probe))) / (PROBE_SAMPLES - 1)
     triangle = refine_similar(work, equilateral_shape(), s_star, s_star * t_star, residual_tol)
     return EquilateralOutcome(
         triangle=triangle,

@@ -20,11 +20,12 @@ from triscribe.errors import (
     DegenerateConfigurationError,
     InfeasibleShapeError,
     InvalidArgumentError,
+    NumericalDegeneracyError,
     SingularPathError,
 )
-from triscribe.solvers import angle_increments, integer_winding
 
 ANTIPARALLEL_TOL = 1e-8
+ROUNDING_SLACK = 0.01  # distance from an integer at which an angle sum is refused
 
 
 @dataclass(frozen=True)
@@ -176,6 +177,26 @@ def _relative(path, base, tol):
             f"path vertex {hits[0]} lies on the winding base", index=int(hits[0])
         )
     return v
+
+
+def angle_increments(v):
+    """The turn, atan2(cross, dot), in (-pi, pi], from each row of ``v``
+    (positions relative to the base) to the next, as a list."""
+    x0, y0 = v[:-1, 0], v[:-1, 1]
+    x1, y1 = v[1:, 0], v[1:, 1]
+    cross = x0 * y1 - y0 * x1
+    dot = x0 * x1 + y0 * y1
+    return np.arctan2(cross, dot).tolist()
+
+
+def integer_winding(sweep):
+    """The integer a closed path's angle sweep (in full turns) rounds to."""
+    nearest = round(sweep)
+    if abs(sweep - nearest) >= ROUNDING_SLACK:
+        raise NumericalDegeneracyError(
+            f"angle sweep {sweep!r} is not close to an integer; refine the path"
+        )
+    return int(nearest)
 
 
 def angle_sweep(path, base, tol=None):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triscribe import Curve
+from triscribe import Curve, InvalidArgumentError
 from triscribe.curve import BLOCK_SIZE
 from triscribe.solvers import (
     _convex_pieces,
@@ -309,3 +309,65 @@ def test_batched_touch_pass_is_the_one_row_form(drawn, radius, near_curve, count
         every_vertex = _sphere_distances(curve.columns, c, r, nrm)
         assert nearest[g] == int(np.argmin(every_vertex))
         assert _nearest_params(curve, c, radii[g:g + 1], nrm)[0] == params[g]
+
+
+def mirrored_ellipse(m):
+    """The ellipse (cos th, 2 sin th) at m vertices, m a multiple of
+    ``BLOCK_SIZE``, built so that rows k and m - k differ only in the sign of
+    y: distances from a point or a sphere symmetric about the x axis tie bit
+    for bit, and the boxes of blocks b and m / B - 1 - b mirror each other."""
+    th = 2.0 * math.pi * np.arange(m // 2 + 1) / m
+    top = np.column_stack((np.cos(th), 2.0 * np.sin(th)))
+    return Curve(np.vstack((top, top[1:m // 2][::-1] * (1.0, -1.0))))
+
+
+def test_farthest_param_takes_the_lower_index_of_a_tie():
+    """From (1, 0) the farthest points of the mirrored ellipse are a mirrored
+    pair, in two blocks whose boxes tie: the lower index wins."""
+    m = 8 * BLOCK_SIZE
+    curve = mirrored_ellipse(m)
+    base = np.array([1.0, 0.0])
+    dist = np.sqrt(((curve.columns - base[:, None]) ** 2).sum(axis=0))
+    k = int(np.argmax(dist))
+    assert k < m // 2 and dist[m - k] == dist[k]
+    assert (m - k) // BLOCK_SIZE != k // BLOCK_SIZE
+    assert curve.farthest_param(base) == float(curve.params[k])
+
+
+def test_nearest_vertex_takes_the_lower_index_of_a_tie():
+    """Spheres symmetric about the x axis (centre on it, normal along it)
+    are equidistant, bit for bit, from each mirrored pair of vertices; each
+    sphere's nearest pair lies mid-block, in blocks measured in different
+    passes of the search, and the lower index wins, for the spheres taken
+    together and each alone."""
+    m = 8 * BLOCK_SIZE
+    curve = mirrored_ellipse(m)
+    ks = np.array([BLOCK_SIZE + 30, 2 * BLOCK_SIZE + 31, 3 * BLOCK_SIZE + 33])
+    near = curve.points[ks]
+    center = np.vstack((near[:, 0], np.zeros(ks.size)))
+    radii = near[:, 1] - 0.05
+    normal = np.vstack((np.ones(ks.size), np.zeros(ks.size)))
+    nearest = _nearest_vertices(curve, center, radii, normal)
+    for g in range(ks.size):
+        c, nrm = one_row(center, g), one_row(normal, g)
+        dist = _sphere_distances(curve.columns, c, radii[g], nrm)
+        k = int(np.argmin(dist))
+        assert k < m // 2 and dist[m - k] == dist[k]
+        assert (m - k) // BLOCK_SIZE != k // BLOCK_SIZE
+        assert nearest[g] == k
+        assert _nearest_vertices(curve, c, radii[g:g + 1], nrm)[0] == k
+
+
+@pytest.mark.parametrize("base", [[math.nan, 0.0], [0.0, math.inf], [0.0, 0.0, 0.0], [1.0]])
+@pytest.mark.parametrize("query", ["farthest_param", "min_distance_excluding"])
+def test_queries_refuse_a_base_that_is_not_a_finite_point_of_the_curve(base, query):
+    """Both whole-curve queries check their base point the same way: a NaN
+    coordinate would give a NaN distance, and a point of another dimension
+    a broadcast error."""
+    curve = mirrored_ellipse(4 * BLOCK_SIZE)
+    call = {
+        "farthest_param": lambda: curve.farthest_param(base),
+        "min_distance_excluding": lambda: curve.min_distance_excluding(base, (0.9, 0.1)),
+    }[query]
+    with pytest.raises(InvalidArgumentError, match="base point"):
+        call()

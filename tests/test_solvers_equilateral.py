@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triscribe import (
     Curve,
@@ -20,7 +22,13 @@ from triscribe import (
 from triscribe import solvers
 
 from conftest import pair_distance_unordered
-from reference import brute_force_similar, ratio_loop, winding_closed
+from reference import (
+    PlanarPath,
+    brute_force_similar,
+    ratio_loop,
+    winding_by_crossing_count,
+    winding_closed,
+)
 
 ORIGIN = np.zeros(2)
 
@@ -191,36 +199,95 @@ def test_loop_winding_is_winding_closed_of_the_loop(monkeypatch, gen, kwargs, ba
     calls = []
     loop_winding = solvers._loop_winding
 
-    def recorded(curve, far, s, samples):
-        calls.append((curve, far, s, samples))
-        return loop_winding(curve, far, s, samples)
+    def recorded(curve, far, s):
+        calls.append((curve, far, s))
+        return loop_winding(curve, far, s)
 
     monkeypatch.setattr(solvers, "_loop_winding", recorded)
     try:
         solve_equilateral(make_curve(gen, samples=4096, **kwargs), base_param=base)
     except RefineFailedError:
         pass  # the folded u_turn: the bisection ran, the refinement failed
-    work, far, s_near, samples = calls[0]
+    work, far, s_near = calls[0]
     s_far = work.farthest_param(work.origin)
     spread = np.linspace(s_far, s_near, 41)[1:-1].tolist()
-    for s in [s for _, _, s, _ in calls] + spread:
-        loop = ratio_loop(far.points, ratio_path(work, s, samples))
+    for s in [s for _, _, s in calls] + spread:
+        loop = ratio_loop(far.points, ratio_path(work, s, solvers.RATIO_SAMPLES))
         want = loop_outcome(lambda: winding_closed(loop, ORIGIN))
-        assert loop_outcome(lambda: loop_winding(work, far, s, samples)) == want, s
+        assert loop_outcome(lambda: loop_winding(work, far, s)) == want, s
     assert len(calls) > 30
 
 
-def test_loop_winding_singular_vertex_matches_winding_closed():
+def test_loop_winding_singular_vertex_matches_winding_closed(monkeypatch):
     """Anchored at vertex B of a curve through the equilateral apex A over
     (0, 0) and B = (1, 0), with A the midpoint in parameter, the near path
     sample at t = 1/2 is A itself, which maps to the origin: both forms
     raise SingularPathError at the same loop vertex."""
     curve = Curve([(0.0, 0.0), (0.5, np.sqrt(3.0) / 2.0), (1.0, 0.0), (1.0, -1.0), (0.0, -1.0)])
     samples = 1025
+    monkeypatch.setattr(solvers, "RATIO_SAMPLES", samples)
     s = float(curve.params[2])
     path_far = ratio_path(curve, 0.7, samples)
     loop = ratio_loop(path_far, ratio_path(curve, s, samples))
     want = loop_outcome(lambda: winding_closed(loop, ORIGIN))
     assert want == ("singular", samples + samples // 2)
     far = solvers._FarHalf.of(path_far)
-    assert loop_outcome(lambda: solvers._loop_winding(curve, far, s, samples)) == want
+    assert loop_outcome(lambda: solvers._loop_winding(curve, far, s)) == want
+
+
+def loop_winding_of(points, split):
+    """``_loop_winding`` of the closed planar path ``points``, split into a far
+    half (the first ``split`` vertices) and a near path (the rest, reversed,
+    as ``ratio_path`` gives it)."""
+    far = solvers._FarHalf.of(points[:split])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, "ratio_path", lambda curve, s, samples: points[split:][::-1])
+        return solvers._loop_winding(None, far, 0.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    winding=st.integers(-2, 2),
+    count=st.integers(8, 40),
+    on_axis=st.booleans(),
+    split=st.floats(0.0, 1.0),
+)
+def test_loop_crossing_count_is_the_reference_winding(seed, winding, count, on_axis, split):
+    """A random closed path that keeps clear of the origin: turns of less
+    than 2 radians (so every segment passes at least ~0.25 from the origin)
+    at radii in [0.5, 2], summing to ``winding`` full turns; with
+    ``on_axis`` its first vertex lies on the ray.  The crossing count is the
+    angle-sum and the ray-casting reference winding, wherever the path is
+    split into its far and near halves."""
+    rng = np.random.default_rng(seed)
+    while True:
+        steps = rng.uniform(-1.9, 1.9, count)
+        steps += (2.0 * math.pi * winding - steps.sum()) / count
+        if np.all(np.abs(steps) < 2.0):
+            break
+    theta = np.concatenate(([0.0], np.cumsum(steps[:-1])))
+    if not on_axis:
+        theta += rng.uniform(0.0, 2.0 * math.pi)
+    points = rng.uniform(0.5, 2.0, count)[:, None] * np.column_stack((np.cos(theta), np.sin(theta)))
+    path = PlanarPath(points, closed=True)
+    assert winding_closed(path, ORIGIN) == winding_by_crossing_count(path, ORIGIN) == winding
+    assert loop_winding_of(points, 1 + int(split * (count - 2))) == winding
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_loop_winding_refuses_a_segment_through_the_origin(seed):
+    """A segment between two vertices far from the origin passes through it,
+    in any direction: its crossing lies on the origin up to rounding, so no
+    count certifies the winding, and the loop is refused as singular
+    wherever that segment falls (far half, junction, near path, closing)."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(2)
+    u /= np.linalg.norm(u)
+    ring = 3.0 * np.column_stack((np.cos([1.0, 2.5, 4.0]), np.sin([1.0, 2.5, 4.0])))
+    points = np.vstack((-rng.uniform(0.5, 2.0) * u, rng.uniform(0.5, 2.0) * u, ring))
+    for shift in range(len(points)):
+        rolled = np.roll(points, shift, axis=0)
+        for split in range(1, len(points)):
+            with pytest.raises(SingularPathError, match="within rounding"):
+                loop_winding_of(rolled, split)

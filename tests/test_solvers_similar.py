@@ -806,6 +806,24 @@ def test_refine_refuses_a_seed_that_is_not_finite(seed, value):
         refine_similar(make_curve("ellipse", samples=256), EQ, **seeds)
 
 
+@pytest.mark.parametrize("epsilon", [0.7, 0.0, 0.5, math.nan, -0.1])
+def test_sweep_refuses_an_epsilon_outside_the_window_range(monkeypatch, epsilon):
+    """A window half-width outside (0, 0.5) is refused before any curve query
+    runs.  At 0.7 the window (0.3, 0.7) would exclude the arc opposite the
+    base instead of the arc around it, and the sweep would start at the base
+    itself; the other values would fail later with an interval message."""
+    curve = make_curve("ellipse", samples=256)
+
+    def no_query(*args):
+        raise AssertionError("a curve query ran")
+
+    monkeypatch.setattr(Curve, "farthest_param", no_query)
+    monkeypatch.setattr(Curve, "min_distance_excluding", no_query)
+    for call in (sweep_similar, near_base_param):
+        with pytest.raises(InvalidArgumentError, match=r"^epsilon must lie in \(0, 0.5\)$"):
+            call(curve, EQ, epsilon=epsilon)
+
+
 class TestKeywords:
     def test_sweep_defaults_to_fallback_epsilon(self, circle4096):
         result = sweep_similar(circle4096, EQ, grid_size=64)

@@ -49,6 +49,7 @@ DISTANCE_SAMPLES = 2048  # parameters of the scan of _param_at_distance
 SINGULAR_TOL = 1e-9  # projected distance to (1, 0) at which the curve touches the sphere
 DEDUPE_TOL = 1e-4  # parameter distance under which two found triangles are one
 BISECT_WIDTH = 1e-10  # parameter width at which bisection stops
+HANDOFF_WIDTH = 1e-6  # bracket width at which Newton takes over, if it lands inside (see README)
 BISECT_DEPTH = 3  # levels of bisection midpoints per kernel call (measured; see README)
 MAX_NEWTON_ITERS = 100
 # (node, segment) pairs per exact pass of the winding kernel, (sphere,
@@ -691,7 +692,10 @@ class InscribedTriangle:
 class SweepResult:
     """The sweep grid and what was found on it.  ``dropped`` holds the grid
     parameters whose swept point coincides with the base point, where the
-    candidate sphere is undefined; they are left out of ``grid``."""
+    candidate sphere is undefined; they are left out of ``grid``.
+    ``handoffs`` has one entry per seed: for a seed whose bisection stopped
+    on ``HANDOFF_WIDTH``, its bracket and the winding at the bracket's low
+    end, ``(lo, hi, w_lo)``; None for a seed from a singular node."""
 
     grid: list
     bracket: tuple | None
@@ -700,37 +704,41 @@ class SweepResult:
     t_near: float
     epsilon: float
     dropped: list
+    handoffs: list
 
 
-def _bisect(curve, shape, lo, hi, w_lo):
+def _bisect(curve, shape, lo, hi, w_lo, width):
     """Bisect the winding change between ``lo`` (winding ``w_lo``) and ``hi``
-    until the bracket is at most ``BISECT_WIDTH`` wide or its midpoint is
-    singular; the bracket ``(lo, hi)``, or None at a midpoint whose swept
-    point is back at the base.
+    until the bracket is at most ``width`` wide or its midpoint is singular;
+    the bracket ``(lo, hi)``, or None at a midpoint whose swept point is back
+    at the base.  A bracket wider than ``width`` stopped at a singular
+    midpoint.
 
     The midpoints of the next ``BISECT_DEPTH`` levels depend only on the
     current bracket, so one kernel call takes all of them (in heap order:
     node i has children 2 i + 1 below its midpoint and 2 i + 2 above), and a
     walk follows the path one midpoint at a time would take, stopping where
     it would stop.  A node gets the same answer in a batch of any size, so
-    brackets and seeds are those of the one-node loop.
+    brackets and seeds are those of the one-node loop, and bisecting a
+    returned bracket on to a smaller width gives what one call to that width
+    gives.
     """
     size = 2 ** BISECT_DEPTH - 1
-    while hi - lo > BISECT_WIDTH:
+    while hi - lo > width:
         ends = [(lo, hi)]
         for i in range(size // 2):
             a, b = ends[i]
             mid = 0.5 * (a + b)
             ends += [(a, mid), (mid, b)]
         mids = np.array([0.5 * (a + b) for a, b in ends])
-        # A node at most BISECT_WIDTH wide is never walked to.
-        wide = np.flatnonzero([b - a > BISECT_WIDTH for a, b in ends])
+        # A node at most width wide is never walked to.
+        wide = np.flatnonzero([b - a > width for a, b in ends])
         winding = np.zeros(size, dtype=int)
         singular = np.zeros(size, dtype=bool)
         live = np.zeros(size, dtype=bool)
         winding[wide], singular[wide], live[wide] = _node_windings(curve, mids[wide], shape)
         i = 0
-        while i < size and hi - lo > BISECT_WIDTH:
+        while i < size and hi - lo > width:
             mid = float(mids[i])
             if not live[i]:
                 return None
@@ -746,7 +754,10 @@ def _bisect(curve, shape, lo, hi, w_lo):
 def sweep_similar(curve, shape, grid_size=256, epsilon=FALLBACK_EPSILON):
     """Evaluate the invariant on a grid from the near-base parameter to the
     farthest parameter, all nodes in one call of the winding kernel, and
-    bisect every change to a certified bracket."""
+    bisect every change to a certified bracket ``HANDOFF_WIDTH`` wide, or to
+    a singular midpoint.  Each bracket's midpoint and its touch parameter
+    seed Newton; ``solve_similar`` bisects a bracket on to ``BISECT_WIDTH``
+    only when Newton's answer from that seed leaves it."""
     if grid_size < 2:
         raise InvalidArgumentError("grid size must be at least 2")
     eps = float(epsilon)
@@ -768,12 +779,13 @@ def sweep_similar(curve, shape, grid_size=256, epsilon=FALLBACK_EPSILON):
             "grid too coarse to certify a bracket; increase the grid size", grid=grid
         )
     seeds = [(s.t, s.touch_param) for s in grid if s.singular]
+    handoffs = [None] * len(seeds)
     bracket = None
     seed_ts = []
     for a, b in zip(grid[:-1], grid[1:]):
         if a.singular or b.singular or a.winding == b.winding:
             continue
-        found = _bisect(curve, shape, a.t, b.t, a.winding)
+        found = _bisect(curve, shape, a.t, b.t, a.winding, HANDOFF_WIDTH)
         if found is None:
             # A midpoint's swept point is back at the base: there is no sphere
             # there, so the bisection cannot go on and certifies nothing.
@@ -782,7 +794,9 @@ def sweep_similar(curve, shape, grid_size=256, epsilon=FALLBACK_EPSILON):
             bracket = found
         # The seed is the bracket's midpoint, where the singular midpoint is
         # when one stopped the bisection.
-        seed_ts.append(0.5 * (found[0] + found[1]))
+        lo, hi = found
+        seed_ts.append(0.5 * (lo + hi))
+        handoffs.append((lo, hi, a.winding) if hi - lo <= HANDOFF_WIDTH else None)
     seeds += zip(seed_ts, _touch_params(curve, seed_ts, shape))
     if not seeds:
         raise NoBracketError(
@@ -797,6 +811,7 @@ def sweep_similar(curve, shape, grid_size=256, epsilon=FALLBACK_EPSILON):
         t_near=t_near,
         epsilon=eps,
         dropped=dropped,
+        handoffs=handoffs,
     )
 
 
@@ -825,6 +840,11 @@ def refine_similar(curve, shape, t0, s0, residual_tol=1e-9):
     Central finite differences handle the polyline kinks; if Newton stalls, a
     coordinate-wise golden-section pass restarts it.  The residuals are
     dimensionless side ratios, so ``residual_tol`` does not scale with the curve.
+    The residuals are taken once at each point Newton visits and kept for the
+    current and the best point, so a seed that already meets the stopping
+    residual costs one evaluation.  The solvers hand over from bisection
+    before the bracket is tight, and check the answer against the bracket
+    (``_certified_refine``).
     """
     _check_residual_tol(residual_tol)
     # A NaN seed would give a NaN triangle, whose residual no tolerance refuses.
@@ -841,13 +861,13 @@ def refine_similar(curve, shape, t0, s0, residual_tol=1e-9):
         return np.asarray(res)
 
     v = np.array([float(t0), float(s0)])
-    best_v, best_norm = v.copy(), float(np.max(np.abs(g(v))))
+    gv = g(v)
+    norm = float(np.max(np.abs(gv)))
+    best_v, best_g, best_norm = v.copy(), gv, norm
     stalls = 0
     for _ in range(MAX_NEWTON_ITERS):
-        gv = g(v)
-        norm = float(np.max(np.abs(gv)))
         if norm < best_norm:
-            best_v, best_norm = v.copy(), norm
+            best_v, best_g, best_norm = v.copy(), gv, norm
         if norm < 1e-13:
             break
         jac = _finite_difference_jacobian(g, v)
@@ -860,8 +880,10 @@ def refine_similar(curve, shape, t0, s0, residual_tol=1e-9):
             lam = 1.0
             while lam >= 1.0 / 1024.0:
                 trial = v - lam * step
-                if float(np.max(np.abs(g(trial)))) < norm:
-                    v = trial
+                g_trial = g(trial)
+                trial_norm = float(np.max(np.abs(g_trial)))
+                if trial_norm < norm:
+                    v, gv, norm = trial, g_trial, trial_norm
                     moved = True
                     break
                 lam *= 0.5
@@ -878,21 +900,20 @@ def refine_similar(curve, shape, t0, s0, residual_tol=1e-9):
                     return -float(np.max(np.abs(g(trial))))
 
                 v[j] = _golden_max(line, v[j] - span, v[j] + span)
-    gv = g(v)
-    norm = float(np.max(np.abs(gv)))
+            gv = g(v)
+            norm = float(np.max(np.abs(gv)))
     if norm < best_norm:
-        best_v, best_norm = v.copy(), norm
+        best_v, best_g, best_norm = v.copy(), gv, norm
     t_p = float(np.mod(best_v[0], 1.0))
     t_q = float(np.mod(best_v[1], 1.0))
-    res = g(best_v)
     triangle = InscribedTriangle(
         t_p=t_p,
         t_q=t_q,
         point_o=base,
         point_p=curve.eval(t_p),
         point_q=curve.eval(t_q),
-        residual_oq=float(res[0]),
-        residual_pq=float(res[1]),
+        residual_oq=float(best_g[0]),
+        residual_pq=float(best_g[1]),
     )
     if best_norm > residual_tol:
         raise RefineFailedError(
@@ -900,6 +921,18 @@ def refine_similar(curve, shape, t0, s0, residual_tol=1e-9):
             best=triangle,
         )
     return triangle
+
+
+def _certified_refine(curve, shape, t0, s0, residual_tol, lo, hi):
+    """The handoff test: ``refine_similar``'s triangle from the seed
+    ``(t0, s0)`` when its residual passes and its ``t_p`` lies in the bracket
+    ``[lo, hi]``, whose ends differ in winding; None otherwise, and the
+    caller bisects the bracket on to ``BISECT_WIDTH``."""
+    try:
+        triangle = refine_similar(curve, shape, t0, s0, residual_tol)
+    except RefineFailedError:
+        return None
+    return triangle if lo <= triangle.t_p <= hi else None
 
 
 @dataclass
@@ -957,9 +990,21 @@ def solve_similar(curve, shape, base_param=0.0, grid_size=256, residual_tol=1e-9
         )
     sweep = sweep_similar(work, shape, grid_size, epsilon=epsilon)
     triangles = []
-    for t0, s0 in sweep.seeds:
+    for (t0, s0), handoff in zip(sweep.seeds, sweep.handoffs):
         if s0 is None:
             continue
+        if handoff is not None:
+            lo, hi, w_lo = handoff
+            triangle = _certified_refine(work, shape, t0, s0, residual_tol, lo, hi)
+            if triangle is not None:
+                triangles.append(triangle)
+                continue
+            # Newton left the bracket or stalled: the full bisection's seed.
+            found = _bisect(work, shape, lo, hi, w_lo, BISECT_WIDTH)
+            if found is None:
+                continue
+            t0 = 0.5 * (found[0] + found[1])
+            s0 = _touch_params(work, [t0], shape)[0]
         try:
             triangles.append(refine_similar(work, shape, t0, s0, residual_tol))
         except RefineFailedError as exc:
@@ -1026,8 +1071,11 @@ def ratio_path(curve, s, samples=1024):
         raise DegenerateConfigurationError("anchor point coincides with the base point")
     ts = np.linspace(0.0, 1.0, samples)
     pts = curve.eval_many(s * ts)
-    r1 = row_norms(pts - base) / span
-    r2 = row_norms(pts - anchor) / span
+    # Summed axis by axis, first to last: for n <= 7 the bits of row_norms,
+    # as in _segment_lengths, in fewer passes.
+    from_base, from_anchor = (pts - base).T, (pts - anchor).T
+    r1 = np.sqrt(_axis_dot(from_base, from_base)) / span
+    r2 = np.sqrt(_axis_dot(from_anchor, from_anchor)) / span
     return np.column_stack([r1 - 1.0, r2 - 1.0])
 
 
@@ -1099,7 +1147,9 @@ def solve_equilateral(curve, base_param=0.0, residual_tol=1e-9):
     Scans the window ladder for a strongly monotone window (warns and
     continues if none passes), verifies the reference loop winds once around
     the origin, bisects the anchor parameter to bracket a ratio path through
-    the origin, and polishes with the shared Newton refiner.
+    the origin, and polishes with the shared Newton refiner.  The bisection
+    stops at ``HANDOFF_WIDTH``; only when Newton's anchor leaves that bracket,
+    or Newton stalls, does it go on to ``BISECT_WIDTH`` and refine again.
     """
     _check_residual_tol(residual_tol)
     work = curve.with_base_param(base_param)
@@ -1139,24 +1189,39 @@ def solve_equilateral(curve, base_param=0.0, residual_tol=1e-9):
         warnings.append(
             f"reference loop winding is {loop_w!r}, expected 1; bisection may not be certified"
         )
-    lo, hi = s_far, s_near
     w_hi = loop_w if loop_w is not None else 1
-    s_hit = None
-    while hi - lo > BISECT_WIDTH:
-        mid = 0.5 * (lo + hi)
-        try:
-            w_mid = _loop_winding(work, far, mid)
-        except SingularPathError:
-            s_hit = mid
-            break
-        if w_mid == w_hi:
-            hi = mid
-        else:
-            lo = mid
-    s_star = s_hit if s_hit is not None else 0.5 * (lo + hi)
-    probe = ratio_path(work, s_star, PROBE_SAMPLES)
-    t_star = float(np.argmin(row_norms(probe))) / (PROBE_SAMPLES - 1)
-    triangle = refine_similar(work, equilateral_shape(), s_star, s_star * t_star, residual_tol)
+
+    def bisect(lo, hi, width):
+        """The anchor bracket at most ``width`` wide, or the singular
+        midpoint that stopped it: ``(lo, hi, s_hit)``."""
+        while hi - lo > width:
+            mid = 0.5 * (lo + hi)
+            try:
+                w_mid = _loop_winding(work, far, mid)
+            except SingularPathError:
+                return lo, hi, mid
+            if w_mid == w_hi:
+                hi = mid
+            else:
+                lo = mid
+        return lo, hi, None
+
+    def seed(s_star):
+        """Newton's seed at anchor ``s_star``: the probe sample nearest the origin."""
+        probe = ratio_path(work, s_star, PROBE_SAMPLES)
+        t_star = float(np.argmin(row_norms(probe))) / (PROBE_SAMPLES - 1)
+        return s_star, s_star * t_star
+
+    shape = equilateral_shape()
+    lo, hi, s_hit = bisect(s_far, s_near, HANDOFF_WIDTH)
+    triangle = None
+    if s_hit is None:
+        triangle = _certified_refine(work, shape, *seed(0.5 * (lo + hi)), residual_tol, lo, hi)
+        if triangle is None:
+            lo, hi, s_hit = bisect(lo, hi, BISECT_WIDTH)
+    if triangle is None:
+        s_star = s_hit if s_hit is not None else 0.5 * (lo + hi)
+        triangle = refine_similar(work, shape, *seed(s_star), residual_tol)
     return EquilateralOutcome(
         triangle=triangle,
         epsilon=epsilon,

@@ -21,6 +21,7 @@ _FOOTER = "</svg>\n"
 CURVE_STYLE = 'fill="none" stroke="#1f77b4" stroke-width="{sw}"'
 TRIANGLE_STYLE = 'fill="none" stroke="#d62728" stroke-width="{sw}"'
 PATH_STYLE = 'fill="none" stroke="#2ca02c" stroke-width="{sw}"'
+SIZE = 640  # pixels along the longer side of the drawing
 
 
 def _fmt(x):
@@ -40,9 +41,9 @@ def _require_2d(pts, what):
     return pts
 
 
-def render_svg(curve_points=None, *, closed=True, base_point=None, triangles=(),
-               path_points=None, markers=(), size=640):
-    """Render an SVG document string.
+def render_svg(curve_points=None, *, base_point=None, triangles=(), path_points=None,
+               markers=()):
+    """Render an SVG document string, ``SIZE`` pixels along its longer side.
 
     ``curve_points`` draws one closed polyline per call; each entry of
     ``triangles`` (a point triple) draws one closed polyline; ``path_points``
@@ -75,7 +76,7 @@ def render_svg(curve_points=None, *, closed=True, base_point=None, triangles=(),
     view_box = f"{_fmt(lo[0] - pad)} {_fmt(-(hi[1] + pad))} {_fmt(width)} {_fmt(height)}"
     stroke = _fmt(0.004 * max(width, height))
     if curve_points is not None:
-        draw = np.vstack([pts, pts[:1]]) if closed else pts
+        draw = np.vstack([pts, pts[:1]])
         groups.append(f'<polyline {CURVE_STYLE.format(sw=stroke)} points="{_points_attr(draw)}"/>')
     for t in tris:
         draw = np.vstack([t, t[:1]])
@@ -97,8 +98,8 @@ def render_svg(curve_points=None, *, closed=True, base_point=None, triangles=(),
         groups.append(
             f'<circle fill="#555555" cx="{_fmt(mk[0])}" cy="{_fmt(-mk[1])}" r="{radius}"/>'
         )
-    h_px = int(round(size * height / width)) if width >= height else size
-    w_px = size if width >= height else int(round(size * width / height))
+    h_px = int(round(SIZE * height / width)) if width >= height else SIZE
+    w_px = SIZE if width >= height else int(round(SIZE * width / height))
     doc = _HEADER.format(w=w_px, h=h_px, vb=view_box) + "\n".join(groups) + "\n" + _FOOTER
     return doc
 

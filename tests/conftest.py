@@ -3,10 +3,28 @@ import math
 import numpy as np
 import pytest
 
-from triscribe import Curve, make_curve
+from triscribe import Curve, RefineFailedError, make_curve, solvers
 from triscribe.curve import point_segment_distances
 
 from reference import point_segment_distance
+
+
+# Curve families, base parameters and shapes that reach every path of the
+# sweep: the winding kernel's tests and both solvers' handoff tests use them.
+KERNEL_CASES = [
+    ("circle", {}, 0.0, (60, 60, 60)),
+    ("ellipse", {"a": 2, "b": 1}, 0.25, (90, 45, 45)),
+    ("tilted_circle_nd", {"n": 3}, 0.0, (50, 60, 70)),
+    ("tilted_circle_nd", {"n": 6}, 0.5, (60, 60, 60)),
+    ("trefoil", {}, 0.0, (50, 60, 70)),
+    ("polygon", {"sides": 5}, 0.125, (40, 70, 70)),
+    ("polygon", {"sides": 5, "samples": 16}, 0.0, (120, 30, 30)),  # long closing segment
+    ("corner_wedge", {}, 0.0, (90, 45, 45)),  # a continuum: many singular nodes
+    ("corner_wedge", {}, 0.5, (30, 75, 75)),
+    ("u_turn", {}, 0.25, (60, 60, 60)),
+    ("fourier", {"seed": 0}, 0.75, (30, 75, 75)),
+    ("fourier", {"seed": 3}, 0.0, (120, 30, 30)),
+]
 
 
 @pytest.fixture(scope="session")
@@ -92,3 +110,35 @@ def scalar_golden_max(f, lo, hi, iters=80):
         if b - a < 1e-14:
             break
     return 0.5 * (a + b)
+
+
+def refine_results(monkeypatch):
+    """Record every ``refine_similar`` call the solvers make: a dict from the
+    seed ``(t0, s0)`` to the triangle's bits (t_p, t_q, the residuals and the
+    two points), of the best triangle when the refinement fails; and the
+    ``(seed, triangle)`` of each ``_certified_refine`` call, None for a
+    triangle it rejected."""
+    refined, handed = {}, []
+    refine, certified = solvers.refine_similar, solvers._certified_refine
+
+    def bits(tri):
+        return (tri.t_p, tri.t_q, tri.residual_oq, tri.residual_pq,
+                tri.point_p.tolist(), tri.point_q.tolist())
+
+    def recorded(curve, shape, t0, s0, residual_tol=1e-9):
+        try:
+            tri = refine(curve, shape, t0, s0, residual_tol)
+        except RefineFailedError as exc:
+            refined[(t0, s0)] = bits(exc.best)
+            raise
+        refined[(t0, s0)] = bits(tri)
+        return tri
+
+    def handoff(curve, shape, t0, s0, *args):
+        tri = certified(curve, shape, t0, s0, *args)
+        handed.append(((t0, s0), tri))
+        return tri
+
+    monkeypatch.setattr(solvers, "refine_similar", recorded)
+    monkeypatch.setattr(solvers, "_certified_refine", handoff)
+    return refined, handed

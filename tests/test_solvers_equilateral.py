@@ -20,8 +20,9 @@ from triscribe import (
     solve_similar,
 )
 from triscribe import solvers
+from triscribe.curve import row_norms
 
-from conftest import pair_distance_unordered
+from conftest import KERNEL_CASES, pair_distance_unordered, refine_results
 from reference import (
     PlanarPath,
     brute_force_similar,
@@ -67,6 +68,26 @@ class TestRatioPath:
         s1 = circle4096.farthest_param(circle4096.origin)
         path = ratio_path(circle4096, s1, 1024)
         assert np.max(path[:, 0]) <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_ratio_path_norms_are_row_norms(n):
+    """Up to seven axes, the axis-by-axis sums of ``ratio_path`` give the
+    bits of ``row_norms``: on random rows of widely spread sizes, and on the
+    ratio path of an n-dimensional curve."""
+    rng = np.random.default_rng(n)
+    rows = rng.standard_normal((4096, n)) * np.exp(rng.uniform(-30.0, 30.0, (4096, 1)))
+    assert np.array_equal(np.sqrt(solvers._axis_dot(rows.T, rows.T)), row_norms(rows))
+    if n == 2:
+        curve = make_curve("ellipse", a=2, b=1, samples=4096)
+    else:
+        curve = make_curve("tilted_circle_nd", n=n, samples=4096)
+    s = 0.6180339887
+    pts = curve.eval_many(s * np.linspace(0.0, 1.0, 1024))
+    base, anchor = curve.origin, curve.eval(s)
+    span = row_norms((anchor - base)[None, :])[0]
+    want = np.column_stack([row_norms(pts - base) / span - 1.0, row_norms(pts - anchor) / span - 1.0])
+    assert np.array_equal(ratio_path(curve, s, 1024), want)
 
 
 class TestReferenceLoop:
@@ -170,6 +191,49 @@ class TestScaleFreeAcceptance:
         assert abs(outcome.triangle.t_q - expected.triangle.t_q) < 1e-9
 
 
+def equilateral_triangle(curve, base):
+    """The triangle's parameters, or the failure's message."""
+    try:
+        tri = solve_equilateral(curve, base_param=base).triangle
+    except RefineFailedError as exc:
+        return str(exc)
+    return tri.t_p, tri.t_q
+
+
+@pytest.mark.parametrize("name,kwargs,base", sorted({(n, tuple(k.items()), b)
+                                                     for n, k, b, _ in KERNEL_CASES}))
+def test_handoff_finds_the_triangle_of_the_full_bisection(monkeypatch, name, kwargs, base):
+    """Newton from a ``HANDOFF_WIDTH`` anchor bracket finds the triangle,
+    within 1e-12, or the failure, that bisecting to ``BISECT_WIDTH`` finds."""
+    curve = make_curve(name, **{"samples": 4096, **dict(kwargs)})
+    got = equilateral_triangle(curve, base)
+    monkeypatch.setattr(solvers, "HANDOFF_WIDTH", solvers.BISECT_WIDTH)
+    want = equilateral_triangle(curve, base)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert abs(got[0] - want[0]) <= 1e-12 and abs(got[1] - want[1]) <= 1e-12
+
+
+def test_handoff_fallback_is_the_full_bisection(monkeypatch):
+    """On the trefoil at base 0.625 the loop winding's bracket locates the
+    crossing of the sampled ratio paths, and Newton's anchor lies outside
+    it (the full bisection's own anchor lies 5.3e-6 outside its 1e-10
+    bracket): the bracket is bisected on to ``BISECT_WIDTH``, and the seed
+    and the triangle are those of the full bisection, bit for bit."""
+    curve = make_curve("trefoil", samples=4096)
+    refined, handed = refine_results(monkeypatch)
+    solve_equilateral(curve, base_param=0.625)
+    assert [tri is None for _, tri in handed] == [True]
+    got = dict(refined)
+    fallback = [seed for seed in got if seed not in dict(handed)]
+    assert len(fallback) == 1
+    refined.clear()
+    monkeypatch.setattr(solvers, "HANDOFF_WIDTH", solvers.BISECT_WIDTH)
+    solve_equilateral(curve, base_param=0.625)
+    assert got[fallback[0]] == refined[fallback[0]]
+
+
 def loop_outcome(fn):
     """The winding, or the error type and the index of a singular vertex."""
     try:
@@ -215,7 +279,8 @@ def test_loop_winding_is_winding_closed_of_the_loop(monkeypatch, gen, kwargs, ba
         loop = ratio_loop(far.points, ratio_path(work, s, solvers.RATIO_SAMPLES))
         want = loop_outcome(lambda: winding_closed(loop, ORIGIN))
         assert loop_outcome(lambda: loop_winding(work, far, s)) == want, s
-    assert len(calls) > 30
+    # The reference loop and at least 19 bisection steps to HANDOFF_WIDTH.
+    assert len(calls) >= 20
 
 
 def test_loop_winding_singular_vertex_matches_winding_closed(monkeypatch):

@@ -28,7 +28,7 @@ from triscribe.cli import cylindrical_project
 from triscribe.curve import BLOCK_SIZE, GENERATORS, point_segment_distances
 from triscribe.solvers import FALLBACK_EPSILON, SINGULAR_TOL
 
-from conftest import modular_distance, pair_distance_unordered
+from conftest import KERNEL_CASES, modular_distance, pair_distance_unordered, refine_results
 from reference import (
     PlanarPath,
     Sphere,
@@ -153,22 +153,6 @@ def sphere_reference_winding(curve, sphere, tol=1e-9):
         return None
 
 
-KERNEL_CASES = [
-    ("circle", {}, 0.0, (60, 60, 60)),
-    ("ellipse", {"a": 2, "b": 1}, 0.25, (90, 45, 45)),
-    ("tilted_circle_nd", {"n": 3}, 0.0, (50, 60, 70)),
-    ("tilted_circle_nd", {"n": 6}, 0.5, (60, 60, 60)),
-    ("trefoil", {}, 0.0, (50, 60, 70)),
-    ("polygon", {"sides": 5}, 0.125, (40, 70, 70)),
-    ("polygon", {"sides": 5, "samples": 16}, 0.0, (120, 30, 30)),  # long closing segment
-    ("corner_wedge", {}, 0.0, (90, 45, 45)),  # a continuum: many singular nodes
-    ("corner_wedge", {}, 0.5, (30, 75, 75)),
-    ("u_turn", {}, 0.25, (60, 60, 60)),
-    ("fourier", {"seed": 0}, 0.75, (30, 75, 75)),
-    ("fourier", {"seed": 3}, 0.0, (120, 30, 30)),
-]
-
-
 def assert_kernel_matches_reference(curve, shape):
     """Winding and singular flag agree with the rotated composition on a
     256-node grid over the whole curve and on bisection nodes, where the
@@ -204,16 +188,17 @@ def test_kernel_matches_rotated_reference(name, kwargs, base, angles):
 
 def sequential_bisection(curve, shape, grid):
     """The one-midpoint-per-kernel-call bisection the sweep's tree replaces,
-    on the sweep's grid: its bracket and seeds.  A singular midpoint gives
-    the seed ``sphere_winding`` gives it; a bracket that reaches the width
-    gives its midpoint and a one-row touch pass."""
+    on the sweep's grid, to the sweep's ``HANDOFF_WIDTH``: its bracket and
+    seeds.  A singular midpoint gives the seed ``sphere_winding`` gives it;
+    a bracket that reaches the width gives its midpoint and a one-row touch
+    pass."""
     seeds = [(s.t, s.touch_param) for s in grid if s.singular]
     bracket = None
     for a, b in zip(grid[:-1], grid[1:]):
         if a.singular or b.singular or a.winding == b.winding:
             continue
         lo, hi = a.t, b.t
-        while hi - lo > solvers.BISECT_WIDTH:
+        while hi - lo > solvers.HANDOFF_WIDTH:
             mid = 0.5 * (lo + hi)
             try:
                 sample = sphere_winding(curve, mid, shape)
@@ -237,10 +222,10 @@ def sequential_bisection(curve, shape, grid):
 @pytest.mark.parametrize("name,kwargs,base,angles", KERNEL_CASES)
 def test_bisection_tree_is_the_sequential_bisection(monkeypatch, name, kwargs, base, angles, width):
     """At every tree depth from 1 to 6, the sweep's bracket and seeds are
-    those of one midpoint per kernel call.  At the default width every
-    bisection here stops at a singular midpoint; at 1e-6 every one stops on
-    the width."""
-    monkeypatch.setattr(solvers, "BISECT_WIDTH", width)
+    those of one midpoint per kernel call.  At ``BISECT_WIDTH`` every
+    bisection here stops at a singular midpoint; at the default 1e-6 every
+    one stops on the width."""
+    monkeypatch.setattr(solvers, "HANDOFF_WIDTH", width)
     curve = make_curve(name, **{"samples": 1024, **kwargs}).with_base_param(base)
     shape = shape_from_degrees(*angles)
     try:
@@ -252,6 +237,55 @@ def test_bisection_tree_is_the_sequential_bisection(monkeypatch, name, kwargs, b
         monkeypatch.setattr(solvers, "BISECT_DEPTH", depth)
         result = sweep_similar(curve, shape)
         assert (result.bracket, result.seeds) == want, depth
+
+
+def similar_outcome(curve, shape, base):
+    """The triangles' parameters and the warnings, or None without a bracket."""
+    try:
+        outcome = solve_similar(curve, shape, base_param=base)
+    except NoBracketError:
+        return None
+    return [(tri.t_p, tri.t_q) for tri in outcome.triangles], outcome.warnings
+
+
+@pytest.mark.parametrize("name,kwargs,base,angles", KERNEL_CASES)
+def test_handoff_finds_the_triangles_of_the_full_bisection(monkeypatch, name, kwargs, base, angles):
+    """Newton from a ``HANDOFF_WIDTH`` bracket finds the triangles, within
+    1e-12, and the warnings that bisecting every bracket to
+    ``BISECT_WIDTH`` finds."""
+    curve = make_curve(name, **{"samples": 4096, **kwargs})
+    shape = shape_from_degrees(*angles)
+    got = similar_outcome(curve, shape, base)
+    monkeypatch.setattr(solvers, "HANDOFF_WIDTH", solvers.BISECT_WIDTH)
+    want = similar_outcome(curve, shape, base)
+    if want is None:
+        assert got is None
+        return
+    assert got[1] == want[1]
+    assert len(got[0]) == len(want[0])
+    for (t_p, t_q), (want_p, want_q) in zip(got[0], want[0]):
+        assert abs(t_p - want_p) <= 1e-12 and abs(t_q - want_q) <= 1e-12
+
+
+def test_handoff_fallback_is_the_full_bisection(monkeypatch):
+    """On the trefoil at 60-60-60, Newton leaves one of the three brackets:
+    that bracket is bisected on to ``BISECT_WIDTH``, and its seed and
+    triangle are those of the full bisection, bit for bit.  (The full
+    bisection stops each bracket at a singular midpoint, so none of its
+    seeds is handed off.)"""
+    curve = make_curve("trefoil", samples=4096)
+    refined, handed = refine_results(monkeypatch)
+    outcome = solve_similar(curve, EQ)
+    assert [tri is None for _, tri in handed] == [True, False, False]
+    assert all(handoff is not None for handoff in outcome.sweep.handoffs)
+    got = dict(refined)
+    fallback = [seed for seed in got if seed not in dict(handed)]
+    assert len(fallback) == 1
+    refined.clear()
+    monkeypatch.setattr(solvers, "HANDOFF_WIDTH", solvers.BISECT_WIDTH)
+    full = solve_similar(curve, EQ)
+    assert fallback[0] in full.sweep.seeds
+    assert got[fallback[0]] == refined[fallback[0]]
 
 
 SCALED_KERNEL_CASES = [
@@ -718,7 +752,7 @@ class TestSweep:
         assert values[0] == -1 and values[-1] == 0
         assert result.bracket is not None
         lo, hi = result.bracket
-        # Width reaches 1e-10 unless a singular (direct-crossing) sample fires first.
+        # Width reaches HANDOFF_WIDTH unless a singular (direct-crossing) sample fires first.
         assert hi - lo <= 1e-6
         assert abs(0.5 * (lo + hi) - 1.0 / 3.0) < 1e-4
 
@@ -747,6 +781,25 @@ class TestRefine:
         assert tri.max_residual < 1e-9
         assert np.linalg.norm(tri.point_p - np.array([0.0, 1.0])) < 1e-5
         assert np.linalg.norm(tri.point_q - np.array([0.0, -1.0])) < 1e-5
+
+
+def test_refine_takes_a_converged_seeds_residuals_once(monkeypatch, circle4096):
+    """A seed that already meets the stopping residual is the triangle, and
+    its residuals are taken once."""
+    tri = solve_similar(circle4096, EQ).triangles[0]
+    assert tri.max_residual < 1e-13
+    calls = []
+    residuals = solvers.residuals
+
+    def counted(*args):
+        calls.append(args)
+        return residuals(*args)
+
+    monkeypatch.setattr(solvers, "residuals", counted)
+    again = refine_similar(circle4096, EQ, tri.t_p, tri.t_q)
+    assert len(calls) == 1
+    assert (again.t_p, again.t_q) == (tri.t_p, tri.t_q)
+    assert (again.residual_oq, again.residual_pq) == (tri.residual_oq, tri.residual_pq)
 
 
 class TestSolveSimilar:

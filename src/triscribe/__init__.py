@@ -12,7 +12,6 @@ from .errors import (
     InfeasibleShapeError,
     InvalidArgumentError,
     NoBracketError,
-    NumericalDegeneracyError,
     RefineFailedError,
     SingularPathError,
     TriscribeError,
@@ -48,7 +47,6 @@ __all__ = [
     "InscribedTriangle",
     "InvalidArgumentError",
     "NoBracketError",
-    "NumericalDegeneracyError",
     "RefineFailedError",
     "SimilarOutcome",
     "SingularPathError",

@@ -56,10 +56,11 @@ def _segment_lengths(columns):
     row in, so the lengths have the bits ``row_norms`` gives them."""
     step = np.empty(columns.shape[1])
     sq = np.zeros_like(step)
-    for x in columns:
-        np.subtract(x[1:], x[:-1], out=step[:-1])
-        step[-1] = x[0] - x[-1]
-        sq += step * step
+    with np.errstate(over="ignore"):  # an infinite length is refused by Curve._build
+        for x in columns:
+            np.subtract(x[1:], x[:-1], out=step[:-1])
+            step[-1] = x[0] - x[-1]
+            sq += step * step
     return np.sqrt(sq)
 
 
@@ -87,6 +88,8 @@ class Curve:
             raise InvalidArgumentError("consecutive vertices must be distinct")
         cum = np.concatenate(([0.0], np.cumsum(seg_len)))
         total = float(cum[-1])
+        if not math.isfinite(total):
+            raise InvalidArgumentError("curve length overflows a float")
         params = cum / total
         params[-1] = 1.0
         for array in (cols, seg_len, params):

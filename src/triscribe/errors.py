@@ -30,10 +30,6 @@ class SingularPathError(TriscribeError):
         self.index = index
 
 
-class NumericalDegeneracyError(TriscribeError):
-    """A closed-path angle sweep (the reference winding) failed to round to an integer."""
-
-
 class NoBracketError(TriscribeError):
     """A sweep found no invariant change; carries the grid for diagnostics."""
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -707,23 +708,24 @@ class SweepResult:
     handoffs: list
 
 
-def _bisect(curve, shape, lo, hi, w_lo, width):
-    """Bisect the winding change between ``lo`` (winding ``w_lo``) and ``hi``
-    until the bracket is at most ``width`` wide or its midpoint is singular;
-    the bracket ``(lo, hi)``, or None at a midpoint whose swept point is back
-    at the base.  A bracket wider than ``width`` stopped at a singular
-    midpoint.
+def _bisect(kernel, lo, hi, w_lo, width, depth):
+    """Bisect the invariant's change between ``lo`` (value ``w_lo``) and
+    ``hi`` until the bracket is at most ``width`` wide or its midpoint is
+    singular; the bracket ``(lo, hi)``, or None at a midpoint that is not
+    live.  A bracket wider than ``width`` stopped at a singular midpoint.
+    ``kernel(ts)`` gives the invariant, a singular flag and a live flag at
+    each parameter of ``ts``, as ``_node_windings`` does.
 
-    The midpoints of the next ``BISECT_DEPTH`` levels depend only on the
-    current bracket, so one kernel call takes all of them (in heap order:
-    node i has children 2 i + 1 below its midpoint and 2 i + 2 above), and a
-    walk follows the path one midpoint at a time would take, stopping where
-    it would stop.  A node gets the same answer in a batch of any size, so
+    The midpoints of the next ``depth`` levels depend only on the current
+    bracket, so one kernel call takes all of them (in heap order: node i has
+    children 2 i + 1 below its midpoint and 2 i + 2 above), and a walk
+    follows the path one midpoint at a time would take, stopping where it
+    would stop.  A node gets the same answer in a batch of any size, so
     brackets and seeds are those of the one-node loop, and bisecting a
     returned bracket on to a smaller width gives what one call to that width
     gives.
     """
-    size = 2 ** BISECT_DEPTH - 1
+    size = 2 ** depth - 1
     while hi - lo > width:
         ends = [(lo, hi)]
         for i in range(size // 2):
@@ -736,7 +738,7 @@ def _bisect(curve, shape, lo, hi, w_lo, width):
         winding = np.zeros(size, dtype=int)
         singular = np.zeros(size, dtype=bool)
         live = np.zeros(size, dtype=bool)
-        winding[wide], singular[wide], live[wide] = _node_windings(curve, mids[wide], shape)
+        winding[wide], singular[wide], live[wide] = kernel(mids[wide])
         i = 0
         while i < size and hi - lo > width:
             mid = float(mids[i])
@@ -781,11 +783,12 @@ def sweep_similar(curve, shape, grid_size=256, epsilon=FALLBACK_EPSILON):
     seeds = [(s.t, s.touch_param) for s in grid if s.singular]
     handoffs = [None] * len(seeds)
     bracket = None
+    kernel = partial(_node_windings, curve, shape=shape)
     seed_ts = []
     for a, b in zip(grid[:-1], grid[1:]):
         if a.singular or b.singular or a.winding == b.winding:
             continue
-        found = _bisect(curve, shape, a.t, b.t, a.winding, HANDOFF_WIDTH)
+        found = _bisect(kernel, a.t, b.t, a.winding, HANDOFF_WIDTH, BISECT_DEPTH)
         if found is None:
             # A midpoint's swept point is back at the base: there is no sphere
             # there, so the bisection cannot go on and certifies nothing.
@@ -960,6 +963,25 @@ def _dedupe(triangles, tol):
     return kept
 
 
+def _ladder(scan, passes, failed, uncertified):
+    """``(epsilon, result, warnings)`` of a scan of ``EPSILON_LADDER``: the
+    first rung whose ``scan(eps)`` result ``passes`` (``FALLBACK_EPSILON``
+    if none does), the last scan that did not raise (None if every one did),
+    and a warning ``failed``, formatted with the rung and the error, per rung
+    whose scan raised DegenerateConfigurationError, then ``uncertified`` if
+    no rung passed."""
+    warnings, result = [], None
+    for eps in EPSILON_LADDER:
+        try:
+            result = scan(eps)
+        except DegenerateConfigurationError as exc:
+            warnings.append(failed.format(eps, exc))
+            continue
+        if passes(result):
+            return eps, result, warnings
+    return FALLBACK_EPSILON, result, warnings + [uncertified]
+
+
 def solve_similar(curve, shape, base_param=0.0, grid_size=256, residual_tol=1e-9):
     """Find triangles similar to ``shape`` inscribed in the curve with the
     distinguished vertex at the requested base parameter.
@@ -969,30 +991,15 @@ def solve_similar(curve, shape, base_param=0.0, grid_size=256, residual_tol=1e-9
     """
     _check_residual_tol(residual_tol)
     work = curve.with_base_param(base_param)
-    warnings = []
-    hypothesis = None
-    epsilon = None
-    for delta in EPSILON_LADDER:
-        try:
-            report = chord_angle_bounds(work, delta, ANGLE_SAMPLES)
-        except DegenerateConfigurationError as exc:
-            warnings.append(f"angle scan at delta={delta} failed: {exc}")
-            continue
-        hypothesis = completed_report(report, shape.vertex_angle)
-        if hypothesis.satisfied:
-            epsilon = delta
-            break
-    if epsilon is None:
-        epsilon = FALLBACK_EPSILON
-        warnings.append(
-            "angle condition not certified on the ladder; continuing anyway "
-            "(the condition is sufficient, not necessary)"
-        )
+    epsilon, hypothesis, warnings = _ladder(
+        lambda delta: completed_report(chord_angle_bounds(work, delta, ANGLE_SAMPLES),
+                                       shape.vertex_angle),
+        lambda report: report.satisfied, "angle scan at delta={} failed: {}",
+        "angle condition not certified on the ladder; continuing anyway "
+        "(the condition is sufficient, not necessary)")
     sweep = sweep_similar(work, shape, grid_size, epsilon=epsilon)
     triangles = []
     for (t0, s0), handoff in zip(sweep.seeds, sweep.handoffs):
-        if s0 is None:
-            continue
         if handoff is not None:
             lo, hi, w_lo = handoff
             triangle = _certified_refine(work, shape, t0, s0, residual_tol, lo, hi)
@@ -1000,7 +1007,8 @@ def solve_similar(curve, shape, base_param=0.0, grid_size=256, residual_tol=1e-9
                 triangles.append(triangle)
                 continue
             # Newton left the bracket or stalled: the full bisection's seed.
-            found = _bisect(work, shape, lo, hi, w_lo, BISECT_WIDTH)
+            found = _bisect(partial(_node_windings, work, shape=shape), lo, hi, w_lo,
+                            BISECT_WIDTH, BISECT_DEPTH)
             if found is None:
                 continue
             t0 = 0.5 * (found[0] + found[1])
@@ -1130,6 +1138,21 @@ def _loop_winding(curve, far, s):
     return far.winding + int(signs.sum())
 
 
+def _anchor_windings(curve, far, w_hi, ts):
+    """The loop invariant as a kernel of ``_bisect``: at each anchor of
+    ``ts``, whether ``_loop_winding`` differs from ``w_hi`` and whether it
+    raised SingularPathError; every anchor is live.  A loop winding costs in
+    proportion to its ratio path's samples, so the solver asks for one
+    anchor a call."""
+    differs, singular = np.zeros((2, ts.size), dtype=bool)
+    for i, s in enumerate(ts.tolist()):
+        try:
+            differs[i] = _loop_winding(curve, far, s) != w_hi
+        except SingularPathError:
+            singular[i] = True
+    return differs, singular, np.ones(ts.size, dtype=bool)
+
+
 @dataclass
 class EquilateralOutcome:
     triangle: InscribedTriangle
@@ -1146,29 +1169,18 @@ def solve_equilateral(curve, base_param=0.0, residual_tol=1e-9):
 
     Scans the window ladder for a strongly monotone window (warns and
     continues if none passes), verifies the reference loop winds once around
-    the origin, bisects the anchor parameter to bracket a ratio path through
-    the origin, and polishes with the shared Newton refiner.  The bisection
-    stops at ``HANDOFF_WIDTH``; only when Newton's anchor leaves that bracket,
-    or Newton stalls, does it go on to ``BISECT_WIDTH`` and refine again.
+    the origin, bisects the anchor with the sweep's walk, one loop winding a
+    call, to bracket a ratio path through the origin, and polishes the
+    bracket's midpoint with the shared Newton refiner.  The walk stops at
+    ``HANDOFF_WIDTH`` or a singular anchor; only when Newton's anchor leaves
+    that bracket, or Newton stalls, does it go on to ``BISECT_WIDTH``.
     """
     _check_residual_tol(residual_tol)
     work = curve.with_base_param(base_param)
     base = work.origin
-    warnings = []
-    epsilon = None
-    for eps in EPSILON_LADDER:
-        try:
-            if check_strong_monotone(work, eps):
-                epsilon = eps
-                break
-        except DegenerateConfigurationError as exc:
-            warnings.append(f"monotone scan at eps={eps} failed: {exc}")
-    strongly_monotone = epsilon is not None
-    if not strongly_monotone:
-        epsilon = FALLBACK_EPSILON
-        warnings.append(
-            "no strongly monotone window found on the ladder; continuing anyway"
-        )
+    epsilon, monotone, warnings = _ladder(
+        lambda eps: check_strong_monotone(work, eps), bool, "monotone scan at eps={} failed: {}",
+        "no strongly monotone window found on the ladder; continuing anyway")
     s_far = work.farthest_param(base)
     clear = work.min_distance_excluding(base, (1.0 - epsilon, epsilon))
     target = clear / 3.0
@@ -1189,22 +1201,7 @@ def solve_equilateral(curve, base_param=0.0, residual_tol=1e-9):
         warnings.append(
             f"reference loop winding is {loop_w!r}, expected 1; bisection may not be certified"
         )
-    w_hi = loop_w if loop_w is not None else 1
-
-    def bisect(lo, hi, width):
-        """The anchor bracket at most ``width`` wide, or the singular
-        midpoint that stopped it: ``(lo, hi, s_hit)``."""
-        while hi - lo > width:
-            mid = 0.5 * (lo + hi)
-            try:
-                w_mid = _loop_winding(work, far, mid)
-            except SingularPathError:
-                return lo, hi, mid
-            if w_mid == w_hi:
-                hi = mid
-            else:
-                lo = mid
-        return lo, hi, None
+    kernel = partial(_anchor_windings, work, far, loop_w if loop_w is not None else 1)
 
     def seed(s_star):
         """Newton's seed at anchor ``s_star``: the probe sample nearest the origin."""
@@ -1213,19 +1210,19 @@ def solve_equilateral(curve, base_param=0.0, residual_tol=1e-9):
         return s_star, s_star * t_star
 
     shape = equilateral_shape()
-    lo, hi, s_hit = bisect(s_far, s_near, HANDOFF_WIDTH)
+    # The far anchor's end of the bracket differs from the near anchor's winding.
+    lo, hi = _bisect(kernel, s_far, s_near, True, HANDOFF_WIDTH, 1)
     triangle = None
-    if s_hit is None:
+    if hi - lo <= HANDOFF_WIDTH:
         triangle = _certified_refine(work, shape, *seed(0.5 * (lo + hi)), residual_tol, lo, hi)
         if triangle is None:
-            lo, hi, s_hit = bisect(lo, hi, BISECT_WIDTH)
+            lo, hi = _bisect(kernel, lo, hi, True, BISECT_WIDTH, 1)
     if triangle is None:
-        s_star = s_hit if s_hit is not None else 0.5 * (lo + hi)
-        triangle = refine_similar(work, shape, *seed(s_star), residual_tol)
+        triangle = refine_similar(work, shape, *seed(0.5 * (lo + hi)), residual_tol)
     return EquilateralOutcome(
         triangle=triangle,
         epsilon=epsilon,
-        strongly_monotone=strongly_monotone,
+        strongly_monotone=bool(monotone),
         loop_winding=loop_w,
         s_far=s_far,
         s_near=s_near,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from triscribe import Curve, RefineFailedError, make_curve, solvers
+from triscribe import Curve, DegenerateConfigurationError, RefineFailedError, make_curve, solvers
 from triscribe.curve import point_segment_distances
 
 from reference import point_segment_distance
@@ -142,3 +142,22 @@ def refine_results(monkeypatch):
     monkeypatch.setattr(solvers, "refine_similar", recorded)
     monkeypatch.setattr(solvers, "_certified_refine", handoff)
     return refined, handed
+
+
+REVISIT_MESSAGE = "curve revisits the base point inside the window"
+
+
+def fail_ladder_rungs(monkeypatch, scan, rungs):
+    """Make the solvers' ladder scan ``scan`` (``chord_angle_bounds`` or
+    ``check_strong_monotone``) raise its own DegenerateConfigurationError on
+    the window half-widths ``rungs`` and run as it does on the others.  A
+    real scan raises only when one of its nodes lands exactly on a revisit
+    of the base, which no test curve arranges."""
+    real = getattr(solvers, scan)
+
+    def failing(curve, eps, *args):
+        if eps in rungs:
+            raise DegenerateConfigurationError(REVISIT_MESSAGE)
+        return real(curve, eps, *args)
+
+    monkeypatch.setattr(solvers, scan, failing)

@@ -20,12 +20,16 @@ from triscribe.errors import (
     DegenerateConfigurationError,
     InfeasibleShapeError,
     InvalidArgumentError,
-    NumericalDegeneracyError,
     SingularPathError,
+    TriscribeError,
 )
 
 ANTIPARALLEL_TOL = 1e-8
 ROUNDING_SLACK = 0.01  # distance from an integer at which an angle sum is refused
+
+
+class NumericalDegeneracyError(TriscribeError):
+    """A closed-path angle sweep (the reference winding) failed to round to an integer."""
 
 
 @dataclass(frozen=True)

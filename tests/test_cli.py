@@ -243,6 +243,24 @@ class TestErrorPaths:
         code, report = run_json(capsys, ["check-monotone", "--curve", str(spec), "--no-timing"])
         assert code == EXIT_OK and report["input"]["vertices"] == 64
 
+    def test_overflowing_generator_length(self, capsys):
+        """A ``gen:`` curve whose length overflows is refused before the
+        solve, as a usage error."""
+        code = run(["solve-similar", "--curve", "gen:circle,radius=1e200", "--angles", "60,60,60"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert captured.err == "usage error: curve length overflows a float\n"
+
+    def test_overflowing_curve_file_length(self, capsys, tmp_path):
+        """A curve file whose length overflows is an invalid curve: exit 1."""
+        curve_file = tmp_path / "big.json"
+        big = [[0.0, 0.0], [1e200, 0.0], [1e200, 1e200], [0.0, 1e200]]
+        curve_file.write_text(json.dumps({"points": big}))
+        code = run(["solve-equilateral", "--curve", str(curve_file)])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR and captured.out == ""
+        assert captured.err == "error: curve length overflows a float\n"
+
     @pytest.mark.parametrize(
         "text",
         [

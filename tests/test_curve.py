@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triscribe import Curve, InvalidArgumentError, curve_from_json, make_curve
+from triscribe import (
+    Curve,
+    InvalidArgumentError,
+    curve_from_json,
+    make_curve,
+    shape_from_degrees,
+    solve_equilateral,
+    solve_similar,
+)
 
 from conftest import min_distance_loop, polyline_distance, scalar_golden_max
 
@@ -91,6 +99,38 @@ class TestValidation:
     def test_dimension_one(self):
         with pytest.raises(InvalidArgumentError):
             Curve([[0.0], [1.0], [2.0], [3.0]])
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+    def test_length_overflow(self, scale):
+        """Finite vertices whose length overflows are refused, with no
+        RuntimeWarning (an error under this suite)."""
+        with pytest.raises(InvalidArgumentError, match="length overflows"):
+            Curve(make_curve("circle", samples=64).points * scale)
+
+    def test_large_finite_curve_builds(self):
+        """A 1e150 circle keeps a finite length, to a relative 1e-15 of the
+        scaled unit circle's."""
+        unit = make_curve("circle", samples=64)
+        curve = Curve(unit.points * 1e150)
+        assert abs(curve.total_length / (unit.total_length * 1e150) - 1.0) < 1e-15
+        assert np.all(np.abs(curve.params - unit.params) < 1e-15)
+
+    def test_large_finite_curve_solves(self):
+        """Both solvers find the unit circle's triangle on the 1e150 circle.
+        Their own squares of coordinate differences still overflow at this
+        scale (``_param_at_distance``, ``_convex_pieces``), harmlessly here;
+        a unit-scale working frame would remove that."""
+        unit = make_curve("circle", samples=64)
+        curve = Curve(unit.points * 1e150)
+        shape = shape_from_degrees(60, 60, 60)
+        with np.errstate(over="ignore"):
+            similar = solve_similar(curve, shape).triangles
+            equilateral = solve_equilateral(curve).triangle
+        [want] = solve_similar(unit, shape).triangles
+        assert len(similar) == 1
+        assert abs(similar[0].t_p - want.t_p) < 1e-12 and abs(similar[0].t_q - want.t_q) < 1e-12
+        want = solve_equilateral(unit).triangle
+        assert abs(equilateral.t_p - want.t_p) < 1e-12 and abs(equilateral.t_q - want.t_q) < 1e-12
 
 
 class TestResample:

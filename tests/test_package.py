@@ -6,7 +6,7 @@ import triscribe
 
 PUBLIC = """
     AngleConditionReport Curve DegenerateConfigurationError EquilateralOutcome InfeasibleShapeError
-    InscribedTriangle InvalidArgumentError NoBracketError NumericalDegeneracyError RefineFailedError
+    InscribedTriangle InvalidArgumentError NoBracketError RefineFailedError
     SimilarOutcome SingularPathError SweepResult TriangleShape TriscribeError WindingSample
     check_hypothesis check_strong_monotone chord_angle_bounds completed_report curve_from_json
     curve_from_spec equilateral_shape load_curve make_curve near_base_param ratio_path

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from triscribe import (
     Curve,
     InvalidArgumentError,
-    NumericalDegeneracyError,
     RefineFailedError,
     SingularPathError,
     check_strong_monotone,
@@ -22,8 +22,15 @@ from triscribe import (
 from triscribe import solvers
 from triscribe.curve import row_norms
 
-from conftest import KERNEL_CASES, pair_distance_unordered, refine_results
+from conftest import (
+    KERNEL_CASES,
+    REVISIT_MESSAGE,
+    fail_ladder_rungs,
+    pair_distance_unordered,
+    refine_results,
+)
 from reference import (
+    NumericalDegeneracyError,
     PlanarPath,
     brute_force_similar,
     ratio_loop,
@@ -356,3 +363,137 @@ def test_loop_winding_refuses_a_segment_through_the_origin(seed):
         for split in range(1, len(points)):
             with pytest.raises(SingularPathError, match="within rounding"):
                 loop_winding_of(rolled, split)
+
+
+def one_anchor_bisection(work, far, w_hi, lo, hi, width):
+    """The anchor bisection written plainly, one loop winding a step: the
+    bracket at most ``width`` wide, or the wider one whose midpoint's loop
+    is singular.  An anchor whose loop winds as the near anchor's
+    (``w_hi``) becomes the high end."""
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        try:
+            w_mid = solvers._loop_winding(work, far, mid)
+        except SingularPathError:
+            break
+        lo, hi = (lo, mid) if w_mid == w_hi else (mid, hi)
+    return lo, hi
+
+
+@pytest.mark.parametrize("width", [solvers.HANDOFF_WIDTH, solvers.BISECT_WIDTH])
+@pytest.mark.parametrize("gen,kwargs,base", [
+    ("circle", {}, 0.0),
+    ("ellipse", {"a": 2, "b": 1}, 0.375),
+    ("fourier", {"seed": 1}, 0.0),
+    ("fourier", {"seed": 3}, 0.625),
+    ("trefoil", {}, 0.0),
+    ("tilted_circle_nd", {"n": 3}, 0.5),
+    ("polygon", {"sides": 5}, 0.125),
+    ("corner_wedge", {}, 0.0),
+    ("u_turn", {}, 0.0),
+])
+def test_anchor_walk_is_the_one_anchor_bisection(monkeypatch, gen, kwargs, base, width):
+    """``_bisect`` on the loop-winding kernel gives, at every depth from 1
+    (the solver's) to 6, the bracket of one loop winding a step, from the
+    solve's far and near anchors and its reference loop winding."""
+    calls = []
+    loop_winding = solvers._loop_winding
+
+    def recorded(curve, far, s):
+        calls.append((curve, far, s))
+        return loop_winding(curve, far, s)
+
+    monkeypatch.setattr(solvers, "_loop_winding", recorded)
+    try:
+        solve_equilateral(make_curve(gen, samples=4096, **kwargs), base_param=base)
+    except RefineFailedError:
+        pass
+    monkeypatch.undo()
+    work, far, s_near = calls[0]
+    s_far = work.farthest_param(work.origin)
+    try:
+        w_hi = loop_winding(work, far, s_near)
+    except SingularPathError:
+        w_hi = 1
+    want = one_anchor_bisection(work, far, w_hi, s_far, s_near, width)
+    kernel = partial(solvers._anchor_windings, work, far, w_hi)
+    for depth in range(1, 7):
+        assert solvers._bisect(kernel, s_far, s_near, True, width, depth) == want, depth
+
+
+def test_anchor_kernel_flags_a_singular_loop(monkeypatch):
+    """On the curve of ``test_loop_winding_singular_vertex_matches_winding_closed``
+    the loop at vertex B's anchor is singular: the kernel flags it, live and
+    with no winding change, and gives its neighbours their windings (0,
+    which differs from 1)."""
+    curve = Curve([(0.0, 0.0), (0.5, np.sqrt(3.0) / 2.0), (1.0, 0.0), (1.0, -1.0), (0.0, -1.0)])
+    monkeypatch.setattr(solvers, "RATIO_SAMPLES", 1025)
+    far = solvers._FarHalf.of(ratio_path(curve, 0.7, 1025))
+    s = float(curve.params[2])
+    differs, singular, live = solvers._anchor_windings(curve, far, 1, np.array([s, 0.5 * s, 0.6]))
+    assert differs.tolist() == [False, True, True]
+    assert singular.tolist() == [True, False, False]
+    assert live.tolist() == [True, True, True]
+
+
+def step_kernel(flagged, singular):
+    """A kernel for ``_bisect``: 1 below 0.3 and 0 above, with a singular
+    flag (``singular``) or no life at the anchors of ``flagged``."""
+    def kernel(ts):
+        hit = np.isin(ts, flagged)
+        return (ts < 0.3).astype(int), hit & singular, ~hit | singular
+    return kernel
+
+
+def one_midpoint_walk(kernel, lo, hi, w_lo, width):
+    """``_bisect`` written plainly, one kernel call a midpoint."""
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        winding, singular, live = kernel(np.array([mid]))
+        if not live[0]:
+            return None
+        if singular[0]:
+            break
+        lo, hi = (mid, hi) if winding[0] == w_lo else (lo, mid)
+    return lo, hi
+
+
+@pytest.mark.parametrize("singular", [True, False], ids=["singular", "not-live"])
+@pytest.mark.parametrize("visit", [0, 4, 19])
+@pytest.mark.parametrize("depth", range(1, 7))
+def test_walk_stops_where_the_one_midpoint_walk_stops(depth, visit, singular):
+    """A singular or dead anchor at the ``visit``-th midpoint of the
+    one-midpoint walk stops the walk there at every depth, with that
+    walk's bracket or None."""
+    lo, hi, path = 0.0, 1.0, []
+    while hi - lo > 1e-6:
+        path.append(0.5 * (lo + hi))
+        lo, hi = (path[-1], hi) if path[-1] < 0.3 else (lo, path[-1])
+    kernel = step_kernel([path[visit]], singular)
+    want = one_midpoint_walk(kernel, 0.0, 1.0, 1, 1e-6)
+    assert (want is None) is not singular and (want is None or want[1] - want[0] > 1e-6)
+    assert solvers._bisect(kernel, 0.0, 1.0, 1, 1e-6, depth) == want
+
+
+MONOTONE_FAILED = "monotone scan at eps={} failed: " + REVISIT_MESSAGE
+NO_MONOTONE = "no strongly monotone window found on the ladder; continuing anyway"
+
+
+@pytest.mark.parametrize("rungs,epsilon,monotone,warnings", [
+    ((0.2,), 0.1, True, [MONOTONE_FAILED.format(0.2)]),
+    (solvers.EPSILON_LADDER, solvers.FALLBACK_EPSILON, False,
+     [MONOTONE_FAILED.format(e) for e in (0.2, 0.1, 0.05, 0.02, 0.01)] + [NO_MONOTONE]),
+], ids=["first-rung", "every-rung"])
+def test_ladder_skips_a_rung_whose_scan_raises(monkeypatch, circle4096, rungs, epsilon, monotone,
+                                               warnings):
+    """A rung whose monotone scan raises is skipped with a warning, in rung
+    order; the window is the first strongly monotone rung, or
+    ``FALLBACK_EPSILON`` after the no-window warning, and the triangle is
+    still found."""
+    fail_ladder_rungs(monkeypatch, "check_strong_monotone", rungs)
+    outcome = solve_equilateral(circle4096)
+    assert outcome.epsilon == epsilon
+    assert outcome.strongly_monotone is monotone
+    assert outcome.warnings == warnings
+    assert pair_distance_unordered((outcome.triangle.t_p, outcome.triangle.t_q),
+                                   (2.0 / 3.0, 1.0 / 3.0)) < 1e-6

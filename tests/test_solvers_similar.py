@@ -11,10 +11,10 @@ from triscribe import (
     DegenerateConfigurationError,
     InvalidArgumentError,
     NoBracketError,
-    NumericalDegeneracyError,
     SingularPathError,
     check_hypothesis,
     chord_angle_bounds,
+    completed_report,
     equilateral_shape,
     make_curve,
     near_base_param,
@@ -28,8 +28,16 @@ from triscribe.cli import cylindrical_project
 from triscribe.curve import BLOCK_SIZE, GENERATORS, point_segment_distances
 from triscribe.solvers import FALLBACK_EPSILON, SINGULAR_TOL
 
-from conftest import KERNEL_CASES, modular_distance, pair_distance_unordered, refine_results
+from conftest import (
+    KERNEL_CASES,
+    REVISIT_MESSAGE,
+    fail_ladder_rungs,
+    modular_distance,
+    pair_distance_unordered,
+    refine_results,
+)
 from reference import (
+    NumericalDegeneracyError,
     PlanarPath,
     Sphere,
     apply_frame,
@@ -1000,3 +1008,38 @@ def test_dedupe_is_the_pairwise_comparison(seed):
     want = pairwise_dedupe(triangles, solvers.DEDUPE_TOL)
     assert [id(t) for t in got] == [id(t) for t in want]
     assert solvers._dedupe([], solvers.DEDUPE_TOL) == []
+
+
+ANGLE_FAILED = "angle scan at delta={} failed: " + REVISIT_MESSAGE
+ANGLE_UNCERTIFIED = ("angle condition not certified on the ladder; continuing anyway "
+                     "(the condition is sufficient, not necessary)")
+
+
+@pytest.mark.parametrize("angles,rungs,epsilon,scanned,warnings", [
+    ((60, 60, 60), (0.2,), 0.1, (0.1, True), [ANGLE_FAILED.format(0.2)]),
+    ((60, 60, 60), solvers.EPSILON_LADDER, FALLBACK_EPSILON, None,
+     [ANGLE_FAILED.format(d) for d in (0.2, 0.1, 0.05, 0.02, 0.01)] + [ANGLE_UNCERTIFIED]),
+    # No rung certifies a 1 degree vertex angle on the circle: the report
+    # kept is the last rung's that did not raise.
+    ((1, 89.5, 89.5), (0.01,), FALLBACK_EPSILON, (0.02, False),
+     [ANGLE_FAILED.format(0.01), ANGLE_UNCERTIFIED]),
+], ids=["first-rung", "every-rung", "last-rung-uncertified"])
+def test_ladder_skips_a_rung_whose_scan_raises(monkeypatch, circle4096, angles, rungs, epsilon,
+                                               scanned, warnings):
+    """A rung whose angle scan raises is skipped with a warning, in rung
+    order; the window is the first rung certified, or ``FALLBACK_EPSILON``
+    after the uncertified warning; the outcome's report is the last scan
+    that did not raise, None when every one raised."""
+    shape = shape_from_degrees(*angles)
+    real = solvers.chord_angle_bounds
+    fail_ladder_rungs(monkeypatch, "chord_angle_bounds", rungs)
+    outcome = solve_similar(circle4096, shape)
+    assert outcome.sweep.epsilon == epsilon
+    assert outcome.warnings == warnings
+    if scanned is None:
+        assert outcome.hypothesis is None
+    else:
+        delta, satisfied = scanned
+        want = completed_report(real(circle4096, delta, solvers.ANGLE_SAMPLES), shape.vertex_angle)
+        assert outcome.hypothesis == want and want.satisfied is satisfied
+    assert len(outcome.triangles) == 1

@@ -25,8 +25,6 @@ BLOCK_SIZE = 64  # segments per box of the block bounding-box index
 PRUNE_BLOCKS = 32  # (query, block) pairs per pass of the block search
 _BLOCK_SPAN = np.arange(BLOCK_SIZE)
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 def row_norms(a):
     """Euclidean norm of each row, with a fixed summation order.
@@ -409,27 +407,6 @@ class Curve:
         reach = float(np.linalg.norm(np.maximum(-lower, upper))) + row_norms(x.T)
         slack = (self.dimension + 8) * 2.0 ** -50 * reach[:, None]
         return near - slack, far + slack
-
-
-def _golden_max(f, lo, hi):
-    """Golden-section search for a maximum of f on [lo, hi]; stops once the
-    bracket is narrower than 1e-14, or after 80 steps."""
-    a, b = float(lo), float(hi)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(80):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-        if b - a < 1e-14:
-            break
-    return 0.5 * (a + b)
 
 
 # -- generators ------------------------------------------------------------

@@ -28,7 +28,7 @@ from functools import partial
 
 import numpy as np
 
-from .curve import BLOCK_SIZE, _golden_max, row_norms
+from .curve import BLOCK_SIZE, row_norms
 from .errors import (
     DegenerateConfigurationError,
     InfeasibleShapeError,
@@ -53,6 +53,8 @@ BISECT_WIDTH = 1e-10  # parameter width at which bisection stops
 HANDOFF_WIDTH = 1e-6  # bracket width at which Newton takes over, if it lands inside (see README)
 BISECT_DEPTH = 3  # levels of bisection midpoints per kernel call (measured; see README)
 MAX_NEWTON_ITERS = 100
+_JACOBIAN_STEP = 1e-7  # relative step of the central-difference Jacobian
+_STEP_FRACTIONS = tuple(0.5 ** k for k in range(11))  # damped Newton step lengths, 1 to 1/1024
 # (node, segment) pairs per exact pass of the winding kernel, (sphere,
 # block | vertex) pairs per pass of the touch parameters' vertex search, and
 # samples per pass of their segment search.
@@ -224,6 +226,11 @@ def _convex_pieces(coef, ee):
     (0, 1), [cut, resume] is its part in [0, 1].
     """
     _, _, p0, q1, p2, r = coef
+    # Lengths scaled by the power of two that brings r into [0.5, 1): exact, so
+    # cut and resume keep their bits, and r p2 pmin stays finite.
+    scale = -np.frexp(r)[1]
+    p0, q1, p2, ee = (np.ldexp(x, 2 * scale) for x in (p0, q1, p2, ee))
+    r = np.ldexp(r, scale)
     with np.errstate(divide="ignore", invalid="ignore"):
         tau0 = -0.5 * q1 / p2
         pmin = np.maximum(p0 + 0.5 * q1 * tau0, 0.0)
@@ -637,9 +644,13 @@ def _param_at_distance(curve, target, lo, hi):
     cuts = params[np.searchsorted(params, u0, "right"):np.searchsorted(params, u1, "left")]
     ends = np.concatenate(([t_from], cuts if t_from < t_to else cuts[::-1], [t_to]))
     # On the piece from a = gamma(ends[i]) to b = gamma(ends[i + 1]):
-    # |a - o + tau (b - a)|^2 - target^2 = qa tau^2 + 2 qb tau + qc.
+    # |a - o + tau (b - a)|^2 - target^2 = qa tau^2 + 2 qb tau + qc, in lengths
+    # scaled by the power of two that brings target into [0.5, 1): exact, so
+    # tau keeps its bits, and the squares stay finite on a huge curve.
     start = curve.eval_many(ends[:-1]) - base
     step = curve.eval_many(ends[1:]) - start - base
+    scale = -math.frexp(target)[1]
+    start, step, target = np.ldexp(start, scale), np.ldexp(step, scale), math.ldexp(target, scale)
     qa = (step * step).sum(axis=1)
     qb = (start * step).sum(axis=1)
     qc = (start * start).sum(axis=1) - target * target
@@ -818,10 +829,10 @@ def sweep_similar(curve, shape, grid_size=256, epsilon=FALLBACK_EPSILON):
     )
 
 
-def _finite_difference_jacobian(fn, v, step=1e-7):
+def _finite_difference_jacobian(fn, v):
     jac = np.zeros((2, 2))
     for j in range(2):
-        h = step * max(1.0, abs(v[j]))
+        h = _JACOBIAN_STEP * max(1.0, abs(v[j]))
         vp, vm = v.copy(), v.copy()
         vp[j] += h
         vm[j] -= h
@@ -840,14 +851,18 @@ def refine_similar(curve, shape, t0, s0, residual_tol=1e-9):
     """Damped Newton on the two ratio residuals, seeded from a bracket.
 
     Variables are the parameters of the swept vertex p and the third vertex q.
-    Central finite differences handle the polyline kinks; if Newton stalls, a
-    coordinate-wise golden-section pass restarts it.  The residuals are
-    dimensionless side ratios, so ``residual_tol`` does not scale with the curve.
-    The residuals are taken once at each point Newton visits and kept for the
-    current and the best point, so a seed that already meets the stopping
+    Central finite differences handle the polyline kinks.  A damped step is
+    taken only if it strictly lowers the largest residual, so the current
+    point is always the best one seen.  Newton stops below 1e-13, after
+    ``MAX_NEWTON_ITERS`` steps, or at its floor: no step of
+    ``_STEP_FRACTIONS`` lowers the residual, the Jacobian is singular or the
+    step is not finite.  The residuals are dimensionless side ratios, so
+    ``residual_tol`` does not scale with the curve.  They are taken once at
+    each point Newton visits, so a seed that already meets the stopping
     residual costs one evaluation.  The solvers hand over from bisection
     before the bracket is tight, and check the answer against the bracket
-    (``_certified_refine``).
+    (``_certified_refine``): the bracket certifies the triangle, and Newton
+    only polishes it.
     """
     _check_residual_tol(residual_tol)
     # A NaN seed would give a NaN triangle, whose residual no tolerance refuses.
@@ -866,61 +881,38 @@ def refine_similar(curve, shape, t0, s0, residual_tol=1e-9):
     v = np.array([float(t0), float(s0)])
     gv = g(v)
     norm = float(np.max(np.abs(gv)))
-    best_v, best_g, best_norm = v.copy(), gv, norm
-    stalls = 0
     for _ in range(MAX_NEWTON_ITERS):
-        if norm < best_norm:
-            best_v, best_g, best_norm = v.copy(), gv, norm
         if norm < 1e-13:
             break
-        jac = _finite_difference_jacobian(g, v)
         try:
-            step = np.linalg.solve(jac, gv)
+            step = np.linalg.solve(_finite_difference_jacobian(g, v), gv)
         except np.linalg.LinAlgError:
-            step = None
-        moved = False
-        if step is not None and np.all(np.isfinite(step)):
-            lam = 1.0
-            while lam >= 1.0 / 1024.0:
-                trial = v - lam * step
-                g_trial = g(trial)
-                trial_norm = float(np.max(np.abs(g_trial)))
-                if trial_norm < norm:
-                    v, gv, norm = trial, g_trial, trial_norm
-                    moved = True
-                    break
-                lam *= 0.5
-        if not moved:
-            stalls += 1
-            if stalls > 2:
+            break
+        if not np.all(np.isfinite(step)):
+            break
+        for lam in _STEP_FRACTIONS:
+            trial = v - lam * step
+            g_trial = g(trial)
+            trial_norm = float(np.max(np.abs(g_trial)))
+            if trial_norm < norm:
+                v, gv, norm = trial, g_trial, trial_norm
                 break
-            for j in range(2):  # coordinate-wise fallback around the current iterate
-                span = 1e-3 / (10 ** stalls)
-
-                def line(x, j=j):
-                    trial = v.copy()
-                    trial[j] = x
-                    return -float(np.max(np.abs(g(trial))))
-
-                v[j] = _golden_max(line, v[j] - span, v[j] + span)
-            gv = g(v)
-            norm = float(np.max(np.abs(gv)))
-    if norm < best_norm:
-        best_v, best_g, best_norm = v.copy(), gv, norm
-    t_p = float(np.mod(best_v[0], 1.0))
-    t_q = float(np.mod(best_v[1], 1.0))
+        else:
+            break  # no damped step lowers the residual: Newton's floor
+    t_p = float(np.mod(v[0], 1.0))
+    t_q = float(np.mod(v[1], 1.0))
     triangle = InscribedTriangle(
         t_p=t_p,
         t_q=t_q,
         point_o=base,
         point_p=curve.eval(t_p),
         point_q=curve.eval(t_q),
-        residual_oq=float(best_g[0]),
-        residual_pq=float(best_g[1]),
+        residual_oq=float(gv[0]),
+        residual_pq=float(gv[1]),
     )
-    if best_norm > residual_tol:
+    if norm > residual_tol:
         raise RefineFailedError(
-            f"refinement stalled at residual {best_norm:.3e} (tolerance {residual_tol:.3e})",
+            f"refinement stalled at residual {norm:.3e} (tolerance {residual_tol:.3e})",
             best=triangle,
         )
     return triangle

@@ -16,7 +16,7 @@ from triscribe import (
     solve_similar,
 )
 
-from conftest import min_distance_loop, polyline_distance, scalar_golden_max
+from conftest import min_distance_loop, polyline_distance
 
 
 class TestEval:
@@ -344,29 +344,3 @@ class TestGenerators:
     def test_sample_floor(self):
         with pytest.raises(InvalidArgumentError):
             make_curve("circle", samples=8)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    count=st.integers(1, 12),
-    kind=st.sampled_from(["vee", "bowl", "wave"]),
-)
-def test_golden_max_is_the_scalar_search(seed, count, kind):
-    """Brackets from 1e-13 to 10 wide (so searches stop after different
-    numbers of steps) give the bits of the plain scalar search."""
-    from triscribe.curve import _golden_max
-
-    rng = np.random.default_rng(seed)
-    lo = rng.standard_normal(count)
-    hi = lo + 10.0 ** rng.uniform(-13.0, 1.0, count)
-    peak = lo + (hi - lo) * rng.uniform(-0.2, 1.2, count)
-    shapes = {
-        "vee": lambda x, p: -np.abs(x - p),
-        "bowl": lambda x, p: -((x - p) ** 2),
-        "wave": lambda x, p: np.cos(7.0 * x + p),
-    }
-    f = shapes[kind]
-    for g in range(count):
-        want = scalar_golden_max(lambda x: float(f(x, peak[g])), lo[g], hi[g])
-        assert _golden_max(lambda x: float(f(x, peak[g])), lo[g], hi[g]) == want

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import tracemalloc
 
@@ -11,6 +12,7 @@ from triscribe import (
     DegenerateConfigurationError,
     InvalidArgumentError,
     NoBracketError,
+    RefineFailedError,
     SingularPathError,
     check_hypothesis,
     chord_angle_bounds,
@@ -20,6 +22,7 @@ from triscribe import (
     near_base_param,
     refine_similar,
     shape_from_degrees,
+    solve_equilateral,
     solve_similar,
     sweep_similar,
 )
@@ -808,6 +811,110 @@ def test_refine_takes_a_converged_seeds_residuals_once(monkeypatch, circle4096):
     assert len(calls) == 1
     assert (again.t_p, again.t_q) == (tri.t_p, tri.t_q)
     assert (again.residual_oq, again.residual_pq) == (tri.residual_oq, tri.residual_pq)
+
+
+def line_searches(norms):
+    """The line searches of one refinement, read from the largest residual of
+    each of its evaluations in order: the seed's, then per Newton step four
+    for the central-difference Jacobian and the trials of ``_STEP_FRACTIONS``
+    up to the first that lowers the residual.  Returns each search as (its
+    trials, whether one lowered the residual), and the residual reached."""
+    current, i, searches = norms[0], 1, []
+    while i < len(norms):
+        i += 4
+        trials = norms[i:i + len(solvers._STEP_FRACTIONS)]
+        lowered = next((k for k, x in enumerate(trials) if x < current), None)
+        if lowered is not None:
+            trials = trials[:lowered + 1]
+            current = trials[-1]
+        i += len(trials)
+        searches.append((trials, lowered is not None))
+    return searches, current
+
+
+@pytest.mark.parametrize("solve, passes", [
+    (lambda: solve_equilateral(make_curve("u_turn", samples=1024, leg=1e9)), False),
+    (lambda: solve_similar(make_curve("corner_wedge", samples=4096), RIGHT_ISOCELES,
+                           base_param=0.5), True),
+], ids=["u_turn-leg-1e9", "continuum-base-half"])
+def test_refine_stops_at_its_first_failed_line_search(monkeypatch, solve, passes):
+    """Newton stops at its own floor.  Every refinement either meets the
+    stopping residual after a step that lowered it, or stalls: its last line
+    search is its first that fails to lower the residual, and no residual is
+    taken after it.  The triangle (the failure's, on the folded u_turn) is
+    the point that search started from.  The base-1/2 continuum's seeds
+    stall near 1.1e-13 and pass; the u_turn's stall far above the tolerance
+    and fail."""
+    runs, ends = [], []
+    residuals, refine = solvers.residuals, solvers.refine_similar
+
+    def recorded_residuals(*args):
+        try:
+            res = residuals(*args)
+        except DegenerateConfigurationError:
+            runs[-1].append(math.inf)  # scored 1e6, above every residual met here
+            raise
+        runs[-1].append(max(abs(r) for r in res))
+        return res
+
+    def recorded_refine(*args):
+        runs.append([])
+        try:
+            tri = refine(*args)
+        except RefineFailedError as exc:
+            ends.append(exc.best)
+            raise
+        ends.append(tri)
+        return tri
+
+    monkeypatch.setattr(solvers, "residuals", recorded_residuals)
+    monkeypatch.setattr(solvers, "refine_similar", recorded_refine)
+    with contextlib.suppress(RefineFailedError):
+        solve()
+    stalled = []
+    for norms, tri in zip(runs, ends, strict=True):
+        searches, current = line_searches(norms)
+        assert current == tri.max_residual
+        assert all(lowered for _, lowered in searches[:-1])
+        if searches and not searches[-1][1]:
+            # Every trial failed, or none was made: the Jacobian was
+            # singular or the step not finite.
+            assert len(searches[-1][0]) in (0, len(solvers._STEP_FRACTIONS))
+            assert current >= 1e-13
+            stalled.append((len(searches[-1][0]), current))
+        else:
+            assert current < 1e-13
+    assert any(count for count, _ in stalled)  # at least one full failed search
+    assert all((n <= 1e-9) == passes for _, n in stalled)
+
+
+def test_continuum_at_base_half_keeps_its_triangles():
+    """The corner_wedge 90-45-45 continuum at base 1/2 holds a family of
+    right isosceles triangles; the solver returns 104 of them, each meeting
+    the residual tolerance."""
+    outcome = solve_similar(make_curve("corner_wedge", samples=4096), RIGHT_ISOCELES,
+                            base_param=0.5)
+    assert len(outcome.triangles) == 104
+    assert all(tri.max_residual <= 1e-9 for tri in outcome.triangles)
+
+
+@pytest.mark.parametrize("scale", [2.0 ** 500, 1e150])
+def test_solvers_do_not_overflow_on_a_huge_circle(scale):
+    """Lengths near 1e150 square to near 1e300, so the distance roots and the
+    touch search's unimodal pieces scale their lengths by a power of two
+    first: no overflow warning (the suite turns it into an error), and by
+    2**500, which is exact, the unit circle's parameters bit for bit."""
+    unit = make_curve("circle", samples=64)
+    curve = Curve(unit.points * scale)
+    pairs = []
+    for c in (unit, curve):
+        tri = solve_similar(c, EQ).triangles[0]
+        eq = solve_equilateral(c).triangle
+        pairs.append([tri.t_p, tri.t_q, eq.t_p, eq.t_q])
+    if scale == 2.0 ** 500:
+        assert pairs[1] == pairs[0]
+    else:
+        assert np.abs(np.subtract(*pairs)).max() < 1e-12
 
 
 class TestSolveSimilar:

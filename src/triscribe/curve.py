@@ -21,6 +21,7 @@ from .errors import InvalidArgumentError
 
 MIN_VERTICES = 4
 MIN_SAMPLES = 16
+MAX_SAMPLES = 2 ** 22  # 64 times the largest benchmark curve; a larger count is refused unbuilt
 BLOCK_SIZE = 64  # segments per box of the block bounding-box index
 PRUNE_BLOCKS = 32  # (query, block) pairs per pass of the block search
 _BLOCK_SPAN = np.arange(BLOCK_SIZE)
@@ -219,8 +220,7 @@ class Curve:
 
     def resample(self, m):
         """New curve with ``m`` vertices at equally spaced parameters."""
-        if m < MIN_SAMPLES:
-            raise InvalidArgumentError(f"resample count must be >= {MIN_SAMPLES}, got {m}")
+        _check_samples(m)
         ts = np.arange(m, dtype=float) / m
         return Curve(self.eval_many(ts))
 
@@ -570,6 +570,15 @@ GENERATORS = {
 }
 
 
+def _check_samples(count):
+    """Refuse a vertex count outside [MIN_SAMPLES, MAX_SAMPLES] before any
+    array of that size is allocated."""
+    if not MIN_SAMPLES <= count <= MAX_SAMPLES:
+        raise InvalidArgumentError(
+            f"sample count must lie in [{MIN_SAMPLES}, {MAX_SAMPLES}], got {count}"
+        )
+
+
 def make_curve(generator, samples=4096, **params):
     """Build a generator curve; vertices are re-parameterized by chord length."""
     if generator not in GENERATORS:
@@ -579,8 +588,7 @@ def make_curve(generator, samples=4096, **params):
     if isinstance(samples, str) or not float(samples).is_integer():
         raise InvalidArgumentError(f"samples must be an integer, got {samples}")
     samples = int(samples)
-    if samples < MIN_SAMPLES:
-        raise InvalidArgumentError(f"sample count must be >= {MIN_SAMPLES}, got {samples}")
+    _check_samples(samples)
     fn = GENERATORS[generator]
     accepted = list(inspect.signature(fn).parameters)[1:]
     unknown = sorted(set(params) - set(accepted))

@@ -49,8 +49,7 @@ PROBE_SAMPLES = 2048  # points of the ratio path probed for the third vertex's s
 DISTANCE_SAMPLES = 2048  # parameters of the scan of _param_at_distance
 SINGULAR_TOL = 1e-9  # projected distance to (1, 0) at which the curve touches the sphere
 DEDUPE_TOL = 1e-4  # parameter distance under which two found triangles are one
-BISECT_WIDTH = 1e-10  # parameter width at which bisection stops
-HANDOFF_WIDTH = 1e-6  # bracket width at which Newton takes over, if it lands inside (see README)
+HANDOFF_WIDTH = 1e-6  # bracket width at which bisection stops and Newton takes over (see README)
 BISECT_DEPTH = 3  # levels of bisection midpoints per kernel call (measured; see README)
 MAX_NEWTON_ITERS = 100
 _JACOBIAN_STEP = 1e-7  # relative step of the central-difference Jacobian
@@ -704,10 +703,7 @@ class InscribedTriangle:
 class SweepResult:
     """The sweep grid and what was found on it.  ``dropped`` holds the grid
     parameters whose swept point coincides with the base point, where the
-    candidate sphere is undefined; they are left out of ``grid``.
-    ``handoffs`` has one entry per seed: for a seed whose bisection stopped
-    on ``HANDOFF_WIDTH``, its bracket and the winding at the bracket's low
-    end, ``(lo, hi, w_lo)``; None for a seed from a singular node."""
+    candidate sphere is undefined; they are left out of ``grid``."""
 
     grid: list
     bracket: tuple | None
@@ -716,7 +712,6 @@ class SweepResult:
     t_near: float
     epsilon: float
     dropped: list
-    handoffs: list
 
 
 def _bisect(kernel, lo, hi, w_lo, width, depth):
@@ -732,9 +727,7 @@ def _bisect(kernel, lo, hi, w_lo, width, depth):
     children 2 i + 1 below its midpoint and 2 i + 2 above), and a walk
     follows the path one midpoint at a time would take, stopping where it
     would stop.  A node gets the same answer in a batch of any size, so
-    brackets and seeds are those of the one-node loop, and bisecting a
-    returned bracket on to a smaller width gives what one call to that width
-    gives.
+    brackets and seeds are those of the one-node loop.
     """
     size = 2 ** depth - 1
     while hi - lo > width:
@@ -769,8 +762,7 @@ def sweep_similar(curve, shape, grid_size=256, epsilon=FALLBACK_EPSILON):
     farthest parameter, all nodes in one call of the winding kernel, and
     bisect every change to a certified bracket ``HANDOFF_WIDTH`` wide, or to
     a singular midpoint.  Each bracket's midpoint and its touch parameter
-    seed Newton; ``solve_similar`` bisects a bracket on to ``BISECT_WIDTH``
-    only when Newton's answer from that seed leaves it."""
+    seed Newton once."""
     if grid_size < 2:
         raise InvalidArgumentError("grid size must be at least 2")
     eps = float(epsilon)
@@ -792,7 +784,6 @@ def sweep_similar(curve, shape, grid_size=256, epsilon=FALLBACK_EPSILON):
             "grid too coarse to certify a bracket; increase the grid size", grid=grid
         )
     seeds = [(s.t, s.touch_param) for s in grid if s.singular]
-    handoffs = [None] * len(seeds)
     bracket = None
     kernel = partial(_node_windings, curve, shape=shape)
     seed_ts = []
@@ -810,7 +801,6 @@ def sweep_similar(curve, shape, grid_size=256, epsilon=FALLBACK_EPSILON):
         # when one stopped the bisection.
         lo, hi = found
         seed_ts.append(0.5 * (lo + hi))
-        handoffs.append((lo, hi, a.winding) if hi - lo <= HANDOFF_WIDTH else None)
     seeds += zip(seed_ts, _touch_params(curve, seed_ts, shape))
     if not seeds:
         raise NoBracketError(
@@ -825,7 +815,6 @@ def sweep_similar(curve, shape, grid_size=256, epsilon=FALLBACK_EPSILON):
         t_near=t_near,
         epsilon=eps,
         dropped=dropped,
-        handoffs=handoffs,
     )
 
 
@@ -859,10 +848,9 @@ def refine_similar(curve, shape, t0, s0, residual_tol=1e-9):
     step is not finite.  The residuals are dimensionless side ratios, so
     ``residual_tol`` does not scale with the curve.  They are taken once at
     each point Newton visits, so a seed that already meets the stopping
-    residual costs one evaluation.  The solvers hand over from bisection
-    before the bracket is tight, and check the answer against the bracket
-    (``_certified_refine``): the bracket certifies the triangle, and Newton
-    only polishes it.
+    residual costs one evaluation.  The solvers hand over from bisection at
+    a bracket ``HANDOFF_WIDTH`` wide: the bracket certifies the triangle, and
+    Newton only polishes it.
     """
     _check_residual_tol(residual_tol)
     # A NaN seed would give a NaN triangle, whose residual no tolerance refuses.
@@ -916,18 +904,6 @@ def refine_similar(curve, shape, t0, s0, residual_tol=1e-9):
             best=triangle,
         )
     return triangle
-
-
-def _certified_refine(curve, shape, t0, s0, residual_tol, lo, hi):
-    """The handoff test: ``refine_similar``'s triangle from the seed
-    ``(t0, s0)`` when its residual passes and its ``t_p`` lies in the bracket
-    ``[lo, hi]``, whose ends differ in winding; None otherwise, and the
-    caller bisects the bracket on to ``BISECT_WIDTH``."""
-    try:
-        triangle = refine_similar(curve, shape, t0, s0, residual_tol)
-    except RefineFailedError:
-        return None
-    return triangle if lo <= triangle.t_p <= hi else None
 
 
 @dataclass
@@ -991,20 +967,7 @@ def solve_similar(curve, shape, base_param=0.0, grid_size=256, residual_tol=1e-9
         "(the condition is sufficient, not necessary)")
     sweep = sweep_similar(work, shape, grid_size, epsilon=epsilon)
     triangles = []
-    for (t0, s0), handoff in zip(sweep.seeds, sweep.handoffs):
-        if handoff is not None:
-            lo, hi, w_lo = handoff
-            triangle = _certified_refine(work, shape, t0, s0, residual_tol, lo, hi)
-            if triangle is not None:
-                triangles.append(triangle)
-                continue
-            # Newton left the bracket or stalled: the full bisection's seed.
-            found = _bisect(partial(_node_windings, work, shape=shape), lo, hi, w_lo,
-                            BISECT_WIDTH, BISECT_DEPTH)
-            if found is None:
-                continue
-            t0 = 0.5 * (found[0] + found[1])
-            s0 = _touch_params(work, [t0], shape)[0]
+    for t0, s0 in sweep.seeds:
         try:
             triangles.append(refine_similar(work, shape, t0, s0, residual_tol))
         except RefineFailedError as exc:
@@ -1164,8 +1127,7 @@ def solve_equilateral(curve, base_param=0.0, residual_tol=1e-9):
     the origin, bisects the anchor with the sweep's walk, one loop winding a
     call, to bracket a ratio path through the origin, and polishes the
     bracket's midpoint with the shared Newton refiner.  The walk stops at
-    ``HANDOFF_WIDTH`` or a singular anchor; only when Newton's anchor leaves
-    that bracket, or Newton stalls, does it go on to ``BISECT_WIDTH``.
+    ``HANDOFF_WIDTH`` or a singular anchor, and Newton runs once.
     """
     _check_residual_tol(residual_tol)
     work = curve.with_base_param(base_param)
@@ -1204,13 +1166,7 @@ def solve_equilateral(curve, base_param=0.0, residual_tol=1e-9):
     shape = equilateral_shape()
     # The far anchor's end of the bracket differs from the near anchor's winding.
     lo, hi = _bisect(kernel, s_far, s_near, True, HANDOFF_WIDTH, 1)
-    triangle = None
-    if hi - lo <= HANDOFF_WIDTH:
-        triangle = _certified_refine(work, shape, *seed(0.5 * (lo + hi)), residual_tol, lo, hi)
-        if triangle is None:
-            lo, hi = _bisect(kernel, lo, hi, True, BISECT_WIDTH, 1)
-    if triangle is None:
-        triangle = refine_similar(work, shape, *seed(0.5 * (lo + hi)), residual_tol)
+    triangle = refine_similar(work, shape, *seed(0.5 * (lo + hi)), residual_tol)
     return EquilateralOutcome(
         triangle=triangle,
         epsilon=epsilon,

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from triscribe import Curve, DegenerateConfigurationError, RefineFailedError, make_curve, solvers
-from triscribe.curve import point_segment_distances
+from triscribe import Curve, DegenerateConfigurationError, make_curve, solvers
+from triscribe.curve import GENERATORS, point_segment_distances
 
 from reference import point_segment_distance
 
@@ -112,36 +112,17 @@ def scalar_golden_max(f, lo, hi, iters=80):
     return 0.5 * (a + b)
 
 
-def refine_results(monkeypatch):
-    """Record every ``refine_similar`` call the solvers make: a dict from the
-    seed ``(t0, s0)`` to the triangle's bits (t_p, t_q, the residuals and the
-    two points), of the best triangle when the refinement fails; and the
-    ``(seed, triangle)`` of each ``_certified_refine`` call, None for a
-    triangle it rejected."""
-    refined, handed = {}, []
-    refine, certified = solvers.refine_similar, solvers._certified_refine
+def unbuilt_circle(monkeypatch):
+    """Replace the circle generator by one that records its sample count and
+    fails, so that no curve is built; the list of counts it was called with."""
+    calls = []
 
-    def bits(tri):
-        return (tri.t_p, tri.t_q, tri.residual_oq, tri.residual_pq,
-                tri.point_p.tolist(), tri.point_q.tolist())
+    def generator(samples):
+        calls.append(samples)
+        raise AssertionError("generator called")
 
-    def recorded(curve, shape, t0, s0, residual_tol=1e-9):
-        try:
-            tri = refine(curve, shape, t0, s0, residual_tol)
-        except RefineFailedError as exc:
-            refined[(t0, s0)] = bits(exc.best)
-            raise
-        refined[(t0, s0)] = bits(tri)
-        return tri
-
-    def handoff(curve, shape, t0, s0, *args):
-        tri = certified(curve, shape, t0, s0, *args)
-        handed.append(((t0, s0), tri))
-        return tri
-
-    monkeypatch.setattr(solvers, "refine_similar", recorded)
-    monkeypatch.setattr(solvers, "_certified_refine", handoff)
-    return refined, handed
+    monkeypatch.setitem(GENERATORS, "circle", generator)
+    return calls
 
 
 REVISIT_MESSAGE = "curve revisits the base point inside the window"

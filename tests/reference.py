@@ -26,6 +26,7 @@ from triscribe.errors import (
 
 ANTIPARALLEL_TOL = 1e-8
 ROUNDING_SLACK = 0.01  # distance from an integer at which an angle sum is refused
+FULL_BISECT_WIDTH = 1e-10  # a bracket width far below the solvers' HANDOFF_WIDTH
 
 
 class NumericalDegeneracyError(TriscribeError):

@@ -12,6 +12,9 @@ from triscribe.cli import (
     build_parser,
     run,
 )
+from triscribe.curve import MAX_SAMPLES
+
+from conftest import unbuilt_circle
 
 
 def run_json(capsys, argv):
@@ -260,6 +263,28 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert code == EXIT_ERROR and captured.out == ""
         assert captured.err == "error: curve length overflows a float\n"
+
+    def test_too_many_generator_samples(self, monkeypatch, capsys):
+        """A ``gen:`` curve over the sample cap is a usage error, refused
+        before the generator runs."""
+        calls = unbuilt_circle(monkeypatch)
+        code = run(["check-monotone", "--curve", f"gen:circle,samples={MAX_SAMPLES + 1}",
+                    "--epsilon", "0.2"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == "" and calls == []
+        assert captured.err == (f"usage error: sample count must lie in [16, {MAX_SAMPLES}], "
+                                f"got {MAX_SAMPLES + 1}\n")
+
+    def test_too_many_curve_file_samples(self, monkeypatch, capsys, tmp_path):
+        """A curve file over the sample cap is an invalid curve: exit 1."""
+        calls = unbuilt_circle(monkeypatch)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"generator": "circle", "samples": 1e9}))
+        code = run(["check-monotone", "--curve", str(spec), "--no-timing"])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR and captured.out == "" and calls == []
+        assert captured.err == (f"error: sample count must lie in [16, {MAX_SAMPLES}], "
+                                "got 1000000000\n")
 
     @pytest.mark.parametrize(
         "text",

@@ -15,8 +15,9 @@ from triscribe import (
     solve_equilateral,
     solve_similar,
 )
+from triscribe.curve import MAX_SAMPLES
 
-from conftest import min_distance_loop, polyline_distance
+from conftest import min_distance_loop, polyline_distance, unbuilt_circle
 
 
 class TestEval:
@@ -153,6 +154,29 @@ class TestResample:
     def test_minimum_count(self, unit_square):
         with pytest.raises(InvalidArgumentError):
             unit_square.resample(8)
+
+    def test_maximum_count(self, monkeypatch, unit_square):
+        """Refused before any vertex is evaluated."""
+        monkeypatch.setattr(Curve, "eval_many", lambda self, ts: pytest.fail("evaluated"))
+        with pytest.raises(InvalidArgumentError, match=f"got {MAX_SAMPLES + 1}"):
+            unit_square.resample(MAX_SAMPLES + 1)
+
+
+class TestSampleCap:
+    """``make_curve`` refuses more than ``MAX_SAMPLES`` vertices before the
+    generator runs; the generator is a stand-in, so nothing is built."""
+
+    @pytest.mark.parametrize("samples", [MAX_SAMPLES + 1, 1e9])
+    def test_over_the_cap_is_refused(self, monkeypatch, samples):
+        unbuilt_circle(monkeypatch)
+        with pytest.raises(InvalidArgumentError, match=f"sample count must lie in .*{MAX_SAMPLES}"):
+            make_curve("circle", samples=samples)
+
+    def test_the_cap_reaches_the_generator(self, monkeypatch):
+        calls = unbuilt_circle(monkeypatch)
+        with pytest.raises(AssertionError, match="generator called"):
+            make_curve("circle", samples=MAX_SAMPLES)
+        assert calls == [MAX_SAMPLES]
 
 
 class TestFarthestParam:

@@ -37,9 +37,9 @@ from conftest import (
     fail_ladder_rungs,
     modular_distance,
     pair_distance_unordered,
-    refine_results,
 )
 from reference import (
+    FULL_BISECT_WIDTH,
     NumericalDegeneracyError,
     PlanarPath,
     Sphere,
@@ -229,11 +229,11 @@ def sequential_bisection(curve, shape, grid):
     return bracket, seeds
 
 
-@pytest.mark.parametrize("width", [solvers.BISECT_WIDTH, 1e-6])
+@pytest.mark.parametrize("width", [FULL_BISECT_WIDTH, 1e-6])
 @pytest.mark.parametrize("name,kwargs,base,angles", KERNEL_CASES)
 def test_bisection_tree_is_the_sequential_bisection(monkeypatch, name, kwargs, base, angles, width):
     """At every tree depth from 1 to 6, the sweep's bracket and seeds are
-    those of one midpoint per kernel call.  At ``BISECT_WIDTH`` every
+    those of one midpoint per kernel call.  At ``FULL_BISECT_WIDTH`` every
     bisection here stops at a singular midpoint; at the default 1e-6 every
     one stops on the width."""
     monkeypatch.setattr(solvers, "HANDOFF_WIDTH", width)
@@ -259,15 +259,18 @@ def similar_outcome(curve, shape, base):
     return [(tri.t_p, tri.t_q) for tri in outcome.triangles], outcome.warnings
 
 
-@pytest.mark.parametrize("name,kwargs,base,angles", KERNEL_CASES)
+@pytest.mark.parametrize("name,kwargs,base,angles", KERNEL_CASES + [
+    ("trefoil", {}, 0.5, (60, 60, 60)),  # four triangles' t_p lie outside their 1e-6 brackets
+])
 def test_handoff_finds_the_triangles_of_the_full_bisection(monkeypatch, name, kwargs, base, angles):
     """Newton from a ``HANDOFF_WIDTH`` bracket finds the triangles, within
     1e-12, and the warnings that bisecting every bracket to
-    ``BISECT_WIDTH`` finds."""
+    ``FULL_BISECT_WIDTH`` finds, also where the triangle lies outside the
+    1e-6 bracket."""
     curve = make_curve(name, **{"samples": 4096, **kwargs})
     shape = shape_from_degrees(*angles)
     got = similar_outcome(curve, shape, base)
-    monkeypatch.setattr(solvers, "HANDOFF_WIDTH", solvers.BISECT_WIDTH)
+    monkeypatch.setattr(solvers, "HANDOFF_WIDTH", FULL_BISECT_WIDTH)
     want = similar_outcome(curve, shape, base)
     if want is None:
         assert got is None
@@ -278,25 +281,20 @@ def test_handoff_finds_the_triangles_of_the_full_bisection(monkeypatch, name, kw
         assert abs(t_p - want_p) <= 1e-12 and abs(t_q - want_q) <= 1e-12
 
 
-def test_handoff_fallback_is_the_full_bisection(monkeypatch):
-    """On the trefoil at 60-60-60, Newton leaves one of the three brackets:
-    that bracket is bisected on to ``BISECT_WIDTH``, and its seed and
-    triangle are those of the full bisection, bit for bit.  (The full
-    bisection stops each bracket at a singular midpoint, so none of its
-    seeds is handed off.)"""
-    curve = make_curve("trefoil", samples=4096)
-    refined, handed = refine_results(monkeypatch)
-    outcome = solve_similar(curve, EQ)
-    assert [tri is None for _, tri in handed] == [True, False, False]
-    assert all(handoff is not None for handoff in outcome.sweep.handoffs)
-    got = dict(refined)
-    fallback = [seed for seed in got if seed not in dict(handed)]
-    assert len(fallback) == 1
-    refined.clear()
-    monkeypatch.setattr(solvers, "HANDOFF_WIDTH", solvers.BISECT_WIDTH)
-    full = solve_similar(curve, EQ)
-    assert fallback[0] in full.sweep.seeds
-    assert got[fallback[0]] == refined[fallback[0]]
+def test_each_seed_is_refined_once(monkeypatch):
+    """Newton runs once from each of the sweep's seeds, in order, and from
+    nothing else, also where its triangle lies outside the seed's bracket
+    (four of the trefoil's brackets at 60-60-60, base 0.5)."""
+    calls = []
+    refine = solvers.refine_similar
+
+    def counted(curve, shape, t0, s0, residual_tol=1e-9):
+        calls.append((t0, s0))
+        return refine(curve, shape, t0, s0, residual_tol)
+
+    monkeypatch.setattr(solvers, "refine_similar", counted)
+    outcome = solve_similar(make_curve("trefoil", samples=4096), EQ, base_param=0.5)
+    assert calls == list(outcome.sweep.seeds)
 
 
 SCALED_KERNEL_CASES = [

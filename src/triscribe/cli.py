@@ -32,6 +32,7 @@ from .solvers import (
     chord_angle_bounds,
     completed_report,
     ratio_path,
+    similar_window,
     solve_equilateral,
     solve_similar,
     sweep_similar,
@@ -283,8 +284,10 @@ def _check_monotone(args, curve, shape):
 
 
 def _sweep(args, curve, shape):
-    # sweep_similar raises NoBracketError rather than return without seeds.
-    result = sweep_similar(curve, shape, **_options(args))
+    # The window solve-similar sweeps at; sweep_similar raises NoBracketError
+    # rather than return without seeds.
+    epsilon = similar_window(curve, shape)[0]
+    result = sweep_similar(curve, shape, epsilon=epsilon, **_options(args))
     return {"sweep": _sweep_dict(result), "seeds": result.seeds}, None
 
 

@@ -22,6 +22,10 @@ from .errors import InvalidArgumentError
 MIN_VERTICES = 4
 MIN_SAMPLES = 16
 MAX_SAMPLES = 2 ** 22  # 64 times the largest benchmark curve; a larger count is refused unbuilt
+# Caps on the generator parameters that size an array or a loop, refused
+# unbuilt: the ambient dimension of tilted_circle_nd (the largest benchmark
+# curve has 6), the corners of polygon and the terms of fourier's sum.
+SIZE_CAPS = {"n": 16, "sides": MAX_SAMPLES, "terms": 256}
 BLOCK_SIZE = 64  # segments per box of the block bounding-box index
 PRUNE_BLOCKS = 32  # (query, block) pairs per pass of the block search
 _BLOCK_SPAN = np.arange(BLOCK_SIZE)
@@ -579,6 +583,17 @@ def _check_samples(count):
         )
 
 
+def _size(value):
+    """A generator size parameter as a float for its cap: inf when it
+    overflows one, NaN when it is not a number (its generator refuses it)."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+    except (TypeError, ValueError):
+        return math.nan
+
+
 def make_curve(generator, samples=4096, **params):
     """Build a generator curve; vertices are re-parameterized by chord length."""
     if generator not in GENERATORS:
@@ -597,6 +612,11 @@ def make_curve(generator, samples=4096, **params):
             f"unknown parameter(s) {', '.join(unknown)} for generator {generator!r}; "
             f"accepted: {', '.join(accepted) or 'none'}"
         )
+    for key in sorted(SIZE_CAPS.keys() & params.keys()):
+        if _size(params[key]) > SIZE_CAPS[key]:
+            raise InvalidArgumentError(
+                f"generator parameter {key} must be at most {SIZE_CAPS[key]}, got {params[key]}"
+            )
     pts = fn(samples, **params)
     return Curve(pts)
 

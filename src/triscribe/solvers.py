@@ -54,11 +54,9 @@ BISECT_DEPTH = 3  # levels of bisection midpoints per kernel call (measured; see
 MAX_NEWTON_ITERS = 100
 _JACOBIAN_STEP = 1e-7  # relative step of the central-difference Jacobian
 _STEP_FRACTIONS = tuple(0.5 ** k for k in range(11))  # damped Newton step lengths, 1 to 1/1024
-# (node, segment) pairs per exact pass of the winding kernel, (sphere,
-# block | vertex) pairs per pass of the touch parameters' vertex search, and
-# samples per pass of their segment search.
+# (node, segment) pairs per exact pass of the winding kernel, and (sphere,
+# block | vertex) pairs per pass of the touch parameters' vertex search.
 PAIR_BUDGET = 2048
-SEARCH_POINTS = 17  # samples per segment piece a pass of that search (measured; see README)
 # Entries per chunk or slice of the candidate scans, in multiples of PAIR_BUDGET:
 # a scan holds about 4 arrays an entry, the exact pass about 25.
 SCAN_MULTIPLE = 4
@@ -135,7 +133,10 @@ class WindingSample:
 
     ``singular`` means the projected curve passed through (1, 0) within
     tolerance, i.e. the curve touches the candidate sphere at this parameter;
-    ``touch_param`` then locates the closest curve parameter.
+    ``touch_param`` then gives the curve parameter where it touches: the
+    nearest to the sphere of a few closed-form points around its nearest
+    vertex (``_nearest_params``), a seed for Newton, not the nearest point
+    of the whole curve.
     """
 
     t: float
@@ -211,128 +212,55 @@ def _nearest_vertices(curve, center, radius, normal):
     return nearest
 
 
-def _convex_pieces(coef, ee):
-    """``(cut, resume)`` for each segment (column of ``coef``, as in
-    ``_segment_minimisers``, and entry of ``ee`` = |e|^2): its distance to
-    the sphere is unimodal on [0, cut] and on [resume, 1].  Where it is
-    unimodal on the whole segment, cut is 1 and resume is not used.
-
-    The squared distance f = h^2 + (sqrt(p) - r)^2 has f'' = 2 |e|^2 -
-    2 r p2 pmin / p^(3/2), with pmin the least p on the segment's line, at
-    tau0 = -p1 / p2.  So f is convex but on the tau where p < (r p2 pmin /
-    |e|^2)^(2/3), an interval around tau0 (a kink at tau0 if pmin = 0) that
-    is not empty when sqrt(pmin) < r p2 / |e|^2.  Where that interval meets
-    (0, 1), [cut, resume] is its part in [0, 1].
-    """
-    _, _, p0, q1, p2, r = coef
-    # Lengths scaled by the power of two that brings r into [0.5, 1): exact, so
-    # cut and resume keep their bits, and r p2 pmin stays finite.
-    scale = -np.frexp(r)[1]
-    p0, q1, p2, ee = (np.ldexp(x, 2 * scale) for x in (p0, q1, p2, ee))
-    r = np.ldexp(r, scale)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tau0 = -0.5 * q1 / p2
-        pmin = np.maximum(p0 + 0.5 * q1 * tau0, 0.0)
-        half = np.sqrt(np.maximum(np.cbrt(r * p2 * pmin / ee) ** 2 - pmin, 0.0) / p2)
-        cut, resume = np.clip(tau0 - half, 0.0, 1.0), np.clip(tau0 + half, 0.0, 1.0)
-    concave = (p2 > 0.0) & (np.sqrt(pmin) < r * p2 / ee) & (resume > 0.0)
-    return np.where(concave, cut, 1.0), resume
-
-
-def _segment_minimisers(coef, lo, hi, span):
-    """Fraction tau in [lo, hi] along each segment of least closed-form
-    distance to its sphere, and that distance squared, one pair per column
-    of ``coef`` (6, P): h0, h1, p0, q1 = 2 p1, p2 and r, so that the
-    squared distance at tau is (h0 + tau h1)^2 + (sqrt(p0 + q1 tau + p2
-    tau^2) - r)^2.  The search compares squares, which order the samples
-    as the distances do at a fraction of the cost of ``np.hypot``.
-
-    Each pass samples ``SEARCH_POINTS`` fractions evenly across every live
-    pair's bracket and keeps the two neighbours of the first least sample,
-    which holds the minimum where the distance is unimodal.  A pair stops,
-    at its least sample, once its bracket times its segment's parameter
-    ``span`` is narrower than 1e-14.  Every step is entrywise, so a pair
-    gets the same bits in any batch; pairs are taken in chunks of at most
-    ``PAIR_BUDGET`` samples a pass.
-    """
-    last = SEARCH_POINTS - 1
-    fractions = np.arange(SEARCH_POINTS) / last
-    tau, dist = np.empty(span.size), np.empty(span.size)
-    per_chunk = max(1, PAIR_BUDGET // SEARCH_POINTS)
-    for c0 in range(0, span.size, per_chunk):
-        pair = np.arange(c0, min(c0 + per_chunk, span.size))
-        # Rows: the six coefficients, the span, and the bracket's start and width.
-        state = np.vstack((coef[:, pair], span[pair], lo[pair], hi[pair] - lo[pair]))
-        rows = np.arange(pair.size)
-        while pair.size:
-            h0, h1, p0, q1, p2, r, _, start, width = state[:, :, None]
-            x = start + width * fractions
-            p = p0 + x * (q1 + x * p2)
-            h, w = h0 + x * h1, np.sqrt(np.maximum(p, 0.0)) - r
-            d = h * h + w * w
-            at = d.argmin(axis=1)
-            state[7] = x[rows, np.maximum(at - 1, 0)]
-            state[8] = x[rows, np.minimum(at + 1, last)] - state[7]
-            live = state[8] * state[6] >= 1e-14
-            if not live.all():
-                done = ~live
-                tau[pair[done]] = x[rows[done], at[done]]
-                dist[pair[done]] = d[rows[done], at[done]]
-                pair, state = pair[live], state[:, live]
-                rows = rows[:pair.size]
-    return tau, dist
-
-
 def _nearest_params(curve, center, radius, normal):
-    """Curve parameter nearest each sphere (column of ``center`` and
-    ``normal`` (n, G), entry of ``radius``), one pass for all spheres.
+    """Touch parameter of each sphere (column of ``center`` and ``normal``
+    (n, G), entry of ``radius``), one pass for all spheres.
 
     From the nearest vertex k, each of its two segments j (k - 1 and k, mod
-    m) is searched in closed form.  With v0 = x_j - center, e = x_{j+1} - x_j
-    and h = v . normal, the point at fraction tau has h = h0 + tau h1 and
-    |v|^2 - h^2 = p0 + 2 p1 tau + p2 tau^2, so its distance to the sphere
-    costs a few entrywise operations.  A segment is searched on each piece
-    where that distance is unimodal (``_convex_pieces``), so the search
-    finds its least distance on the segment.  The vertex and both segments'
-    minimisers are then measured with ``_sphere_distances``: the nearer
-    minimiser (the earlier segment on a tie) replaces the vertex unless
-    farther.
+    m) gives three fractions in closed form.  With v0 = x_j - center, e =
+    x_{j+1} - x_j and h = v . normal, the point at fraction tau has h = h0 +
+    tau h1 and |w|^2 = |v|^2 - h^2 = p0 + q1 tau + p2 tau^2: the segment
+    crosses the sphere's hyperplane at tau = -h0 / h1 and its cylinder |w| =
+    r at the roots of p2 tau^2 + q1 tau + p0 - r^2 = 0.  A point of the
+    segment on the sphere is on both, so a sphere through a point of a
+    segment gives that point back.  A fraction that is not finite is
+    dropped and the rest are clipped to [0, 1].  The vertex and these points
+    are measured with ``_sphere_distances``, and the first nearest wins, in
+    this order: the vertex, then segment k - 1's hyperplane crossing, its
+    smaller root and its larger root, then the same three of segment k.
+    Every step is entrywise, so a sphere gets the same bits in any batch.
     """
     params = curve.params
     columns = curve.columns
     m = curve.n_vertices
     k = _nearest_vertices(curve, center, radius, normal)
     seg = np.stack(((k - 1) % m, k))  # (2, G): the segments before and after k
+    # Lengths scaled by the power of two that brings r into [0.5, 1): exact, so
+    # the fractions keep their bits, and the squares stay finite on a huge curve.
+    scale = -np.frexp(radius)[1]
     center, normal = center[:, None], normal[:, None]
     x0 = columns[:, seg]
-    v0 = x0 - center
-    e = columns[:, (seg + 1) % m] - x0
-    h0, h1, ee = _axis_dot(v0, normal), _axis_dot(e, normal), _axis_dot(e, e)
-    coef = np.array([
-        h0,
-        h1,
-        _axis_dot(v0, v0) - h0 * h0,
-        2.0 * (_axis_dot(v0, e) - h0 * h1),
-        ee - h1 * h1,
-        np.broadcast_to(radius, seg.shape),
-    ]).reshape(6, -1)
-    start, span = params[seg], params[seg + 1] - params[seg]
-    # Every segment's first piece, then the second piece of each split one.
-    cut, resume = _convex_pieces(coef, ee.ravel())
-    split = np.flatnonzero(cut < 1.0)
-    piece = np.concatenate((np.arange(cut.size), split))
-    tau, dist = _segment_minimisers(
-        coef[:, piece], np.concatenate((np.zeros(cut.size), resume[split])),
-        np.concatenate((cut, np.ones(split.size))), span.ravel()[piece])
-    later = cut.size + np.arange(split.size)
-    nearer = dist[later] < dist[split]
-    tau[split[nearer]] = tau[later[nearer]]
-    t = np.concatenate((params[k][None], start + tau[:cut.size].reshape(seg.shape) * span))
+    v0 = np.ldexp(x0 - center, scale)
+    e = np.ldexp(columns[:, (seg + 1) % m] - x0, scale)
+    r = np.ldexp(radius, scale)
+    h0, h1 = _axis_dot(v0, normal), _axis_dot(e, normal)
+    q1 = 2.0 * (_axis_dot(v0, e) - h0 * h1)
+    p2 = _axis_dot(e, e) - h1 * h1
+    c = _axis_dot(v0, v0) - h0 * h0 - r * r
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # The roots in the form that does not cancel: q / p2 and c / q.
+        q = -0.5 * (q1 + np.copysign(np.sqrt(q1 * q1 - 4.0 * p2 * c), q1))
+        first, second = q / p2, c / q
+        tau = np.stack((-h0 / h1, np.minimum(first, second), np.maximum(first, second)), axis=1)
+    found = np.isfinite(tau)
+    tau = np.clip(np.where(found, tau, 0.0), 0.0, 1.0)  # (2, 3, G)
+    start, span = params[seg][:, None], (params[seg + 1] - params[seg])[:, None]
+    t = np.concatenate((params[k][None], (start + tau * span).reshape(6, -1)))
     points = np.moveaxis(curve.eval_many(t), -1, 0)
-    vertex, before, after = _sphere_distances(points, center, radius, normal)
-    t_star = np.where(after < before, t[2], t[1])
-    t_star = np.where(np.minimum(before, after) > vertex, t[0], t_star)
-    return np.mod(t_star, 1.0)
+    dist = _sphere_distances(points, center, radius, normal)
+    dist[1:][~found.reshape(6, -1)] = np.inf
+    nearest = dist.argmin(axis=0)
+    return np.mod(t[nearest, np.arange(t.shape[1])], 1.0)
 
 
 def _spheres(curve, ts, shape):
@@ -950,6 +878,19 @@ def _ladder(scan, passes, failed, uncertified):
     return FALLBACK_EPSILON, result, warnings + [uncertified]
 
 
+def similar_window(curve, shape):
+    """``(epsilon, hypothesis, warnings)`` of ``_ladder`` over the angle
+    condition for ``shape`` at the curve's base point: the window that
+    ``solve_similar`` sweeps at, its completed angle report and the
+    ladder's warnings."""
+    return _ladder(
+        lambda delta: completed_report(chord_angle_bounds(curve, delta, ANGLE_SAMPLES),
+                                       shape.vertex_angle),
+        lambda report: report.satisfied, "angle scan at delta={} failed: {}",
+        "angle condition not certified on the ladder; continuing anyway "
+        "(the condition is sufficient, not necessary)")
+
+
 def solve_similar(curve, shape, base_param=0.0, grid_size=256, residual_tol=1e-9):
     """Find triangles similar to ``shape`` inscribed in the curve with the
     distinguished vertex at the requested base parameter.
@@ -959,12 +900,7 @@ def solve_similar(curve, shape, base_param=0.0, grid_size=256, residual_tol=1e-9
     """
     _check_residual_tol(residual_tol)
     work = curve.with_base_param(base_param)
-    epsilon, hypothesis, warnings = _ladder(
-        lambda delta: completed_report(chord_angle_bounds(work, delta, ANGLE_SAMPLES),
-                                       shape.vertex_angle),
-        lambda report: report.satisfied, "angle scan at delta={} failed: {}",
-        "angle condition not certified on the ladder; continuing anyway "
-        "(the condition is sufficient, not necessary)")
+    epsilon, hypothesis, warnings = similar_window(work, shape)
     sweep = sweep_similar(work, shape, grid_size, epsilon=epsilon)
     triangles = []
     for t0, s0 in sweep.seeds:

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -91,37 +92,18 @@ def min_distance_loop(curve, base, excluded, distance=point_segment_distance):
     return best
 
 
-def scalar_golden_max(f, lo, hi, iters=80):
-    """The one-bracket golden-section search, written plainly on floats."""
-    ratio = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(lo), float(hi)
-    c = b - ratio * (b - a)
-    d = a + ratio * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - ratio * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + ratio * (b - a)
-            fd = f(d)
-        if b - a < 1e-14:
-            break
-    return 0.5 * (a + b)
-
-
-def unbuilt_circle(monkeypatch):
-    """Replace the circle generator by one that records its sample count and
-    fails, so that no curve is built; the list of counts it was called with."""
+def unbuilt_generator(monkeypatch, name="circle"):
+    """Replace generator ``name`` by one that takes the same parameters,
+    records its sample count and fails, so that no curve is built; the list
+    of counts it was called with."""
     calls = []
 
-    def generator(samples):
+    def generator(samples, **params):
         calls.append(samples)
         raise AssertionError("generator called")
 
-    monkeypatch.setitem(GENERATORS, "circle", generator)
+    generator.__signature__ = inspect.signature(GENERATORS[name])
+    monkeypatch.setitem(GENERATORS, name, generator)
     return calls
 
 

@@ -12,9 +12,9 @@ from triscribe.cli import (
     build_parser,
     run,
 )
-from triscribe.curve import MAX_SAMPLES
+from triscribe.curve import MAX_SAMPLES, SIZE_CAPS
 
-from conftest import unbuilt_circle
+from conftest import unbuilt_generator
 
 
 def run_json(capsys, argv):
@@ -134,6 +134,19 @@ class TestCheckCommands:
         assert report["sweep"]["bracket"] is not None
         values = {w for _, w, status in report["sweep"]["windings"] if status == "ok"}
         assert values == {-1, 0}
+
+    @pytest.mark.parametrize("curve, angles, base", [
+        ("gen:circle,samples=256", "60,60,60", "0"),
+        ("gen:trefoil,samples=1024", "60,60,60", "0"),
+        ("gen:ellipse,a=2,b=1,samples=512", "90,45,45", "0.3"),
+    ])
+    def test_sweep_block_is_solve_similar_s(self, capsys, curve, angles, base):
+        """``sweep`` sweeps at the window ``solve-similar`` takes from the
+        angle ladder, so both report the same sweep of one input."""
+        argv = ["--curve", curve, "--angles", angles, "--base", base, "--no-timing"]
+        _, swept = run_json(capsys, ["sweep", *argv])
+        _, solved = run_json(capsys, ["solve-similar", *argv])
+        assert swept["sweep"] == solved["sweep"]
 
 
 class TestErrorPaths:
@@ -267,7 +280,7 @@ class TestErrorPaths:
     def test_too_many_generator_samples(self, monkeypatch, capsys):
         """A ``gen:`` curve over the sample cap is a usage error, refused
         before the generator runs."""
-        calls = unbuilt_circle(monkeypatch)
+        calls = unbuilt_generator(monkeypatch)
         code = run(["check-monotone", "--curve", f"gen:circle,samples={MAX_SAMPLES + 1}",
                     "--epsilon", "0.2"])
         captured = capsys.readouterr()
@@ -277,7 +290,7 @@ class TestErrorPaths:
 
     def test_too_many_curve_file_samples(self, monkeypatch, capsys, tmp_path):
         """A curve file over the sample cap is an invalid curve: exit 1."""
-        calls = unbuilt_circle(monkeypatch)
+        calls = unbuilt_generator(monkeypatch)
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"generator": "circle", "samples": 1e9}))
         code = run(["check-monotone", "--curve", str(spec), "--no-timing"])
@@ -285,6 +298,35 @@ class TestErrorPaths:
         assert code == EXIT_ERROR and captured.out == "" and calls == []
         assert captured.err == (f"error: sample count must lie in [16, {MAX_SAMPLES}], "
                                 "got 1000000000\n")
+
+    @pytest.mark.parametrize("generator, key", [
+        ("tilted_circle_nd", "n"), ("polygon", "sides"), ("fourier", "terms"),
+    ])
+    def test_generator_size_over_its_cap(self, monkeypatch, capsys, generator, key):
+        """A ``gen:`` size parameter over its cap is a usage error, refused
+        before the generator runs."""
+        calls = unbuilt_generator(monkeypatch, generator)
+        over = SIZE_CAPS[key] + 1
+        code = run(["check-monotone", "--curve", f"gen:{generator},{key}={over}"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == "" and calls == []
+        assert captured.err == (f"usage error: generator parameter {key} must be at most "
+                                f"{SIZE_CAPS[key]}, got {over}\n")
+
+    @pytest.mark.parametrize("key, value", [("sides", 1e300), ("sides", 10 ** 400),
+                                            ("sides", "4194305"), ("n", 17), ("terms", 257.5)],
+                             ids=["float", "huge-int", "string", "n", "fraction"])
+    def test_curve_file_size_over_its_cap(self, monkeypatch, capsys, tmp_path, key, value):
+        """A curve file whose size parameter is over its cap (a number or a
+        numeric string) is an invalid curve: exit 1, before the generator runs."""
+        generator = {"n": "tilted_circle_nd", "sides": "polygon", "terms": "fourier"}[key]
+        calls = unbuilt_generator(monkeypatch, generator)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"generator": generator, "params": {key: value}}))
+        code = run(["check-monotone", "--curve", str(spec), "--no-timing"])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR and captured.out == "" and calls == []
+        assert captured.err.startswith(f"error: generator parameter {key} must be at most")
 
     @pytest.mark.parametrize(
         "text",

@@ -15,9 +15,9 @@ from triscribe import (
     solve_equilateral,
     solve_similar,
 )
-from triscribe.curve import MAX_SAMPLES
+from triscribe.curve import MAX_SAMPLES, SIZE_CAPS
 
-from conftest import min_distance_loop, polyline_distance, unbuilt_circle
+from conftest import min_distance_loop, polyline_distance, unbuilt_generator
 
 
 class TestEval:
@@ -118,9 +118,10 @@ class TestValidation:
 
     def test_large_finite_curve_solves(self):
         """Both solvers find the unit circle's triangle on the 1e150 circle.
-        Their own squares of coordinate differences still overflow at this
-        scale (``_param_at_distance``, ``_convex_pieces``), harmlessly here;
-        a unit-scale working frame would remove that."""
+        Their own squares of coordinate differences are taken in lengths
+        scaled by a power of two (``_param_at_distance``,
+        ``_nearest_params``), so nothing overflows at this scale; a
+        unit-scale working frame would make those scalings redundant."""
         unit = make_curve("circle", samples=64)
         curve = Curve(unit.points * 1e150)
         shape = shape_from_degrees(60, 60, 60)
@@ -168,15 +169,36 @@ class TestSampleCap:
 
     @pytest.mark.parametrize("samples", [MAX_SAMPLES + 1, 1e9])
     def test_over_the_cap_is_refused(self, monkeypatch, samples):
-        unbuilt_circle(monkeypatch)
+        unbuilt_generator(monkeypatch)
         with pytest.raises(InvalidArgumentError, match=f"sample count must lie in .*{MAX_SAMPLES}"):
             make_curve("circle", samples=samples)
 
     def test_the_cap_reaches_the_generator(self, monkeypatch):
-        calls = unbuilt_circle(monkeypatch)
+        calls = unbuilt_generator(monkeypatch)
         with pytest.raises(AssertionError, match="generator called"):
             make_curve("circle", samples=MAX_SAMPLES)
         assert calls == [MAX_SAMPLES]
+
+
+class TestSizeCaps:
+    """``make_curve`` refuses a size parameter over its ``SIZE_CAPS`` entry
+    before the generator runs, and passes one at the cap through."""
+
+    CASES = [("tilted_circle_nd", "n"), ("polygon", "sides"), ("fourier", "terms")]
+
+    @pytest.mark.parametrize("generator, key", CASES)
+    def test_over_the_cap_is_refused(self, monkeypatch, generator, key):
+        calls = unbuilt_generator(monkeypatch, generator)
+        with pytest.raises(InvalidArgumentError, match=f"{key} must be at most {SIZE_CAPS[key]}"):
+            make_curve(generator, samples=16, **{key: SIZE_CAPS[key] + 1})
+        assert calls == []
+
+    @pytest.mark.parametrize("generator, key", CASES)
+    def test_the_cap_reaches_the_generator(self, monkeypatch, generator, key):
+        calls = unbuilt_generator(monkeypatch, generator)
+        with pytest.raises(AssertionError, match="generator called"):
+            make_curve(generator, samples=16, **{key: SIZE_CAPS[key]})
+        assert calls == [16]
 
 
 class TestFarthestParam:

@@ -11,20 +11,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from triscribe import Curve, InvalidArgumentError
 from triscribe.curve import BLOCK_SIZE
 from triscribe.solvers import (
-    _convex_pieces,
     _nearest_params,
     _nearest_vertices,
     _param_at_distance,
     _sphere_distances,
 )
 
-from conftest import min_distance_loop, modular_distance, one_row_distance, scalar_golden_max
+from conftest import min_distance_loop, modular_distance, one_row_distance
 from reference import Sphere
 
 EXAMPLES = 60
@@ -193,68 +192,43 @@ def test_nearest_param_is_no_farther_than_the_nearest_vertex(drawn, radius, near
             assert sphere_distance(curve.eval(t), sphere) <= best_vertex + sphere_slack(curve, sphere)
 
 
-def golden_touch_param(curve, k, sphere):
-    """The search the closed form replaced: one scalar golden-section search
-    for the least ``sphere_distance`` across the two segments around vertex
-    k, from parameter -1 + t_{m-1} when k is 0."""
-    params, m = curve.params, curve.n_vertices
-    lo = params[k - 1] if k > 0 else params[m - 1] - 1.0
-    t = scalar_golden_max(lambda t: -sphere_distance(curve.eval(t), sphere), lo, params[k + 1])
-    return t % 1.0
-
-
 def sphere_slack(curve, sphere):
     return 1e-12 * (np.linalg.norm(sphere.center) + sphere.radius + curve.extent)
+
+
+def unit_normal_to(rng, u):
+    """A random unit vector orthogonal to the unit vector ``u``."""
+    x = rng.standard_normal(u.size)
+    x -= (x @ u) * u
+    return x / np.linalg.norm(x)
 
 
 @settings(max_examples=EXAMPLES, deadline=None)
 @given(
     drawn=curves(),
-    radius=st.floats(0.05, 3.0),
-    near_curve=st.booleans(),
-    count=st.integers(1, 6),
+    fraction=st.floats(0.05, 0.95),
+    size=st.floats(0.01, 0.5),
+    tilt=st.floats(0.0, 1.0),
 )
-def test_nearest_param_is_no_farther_than_the_golden_search(drawn, radius, near_curve, count):
-    """The closed-form search lands no farther from each sphere than the
-    golden-section search it replaced, over the same two segments."""
-    curve, rng, scale = drawn
-    center, radii, normal = random_spheres(curve, rng, scale, radius, near_curve, count)
-    nearest = _nearest_vertices(curve, center, radii, normal)
-    params = _nearest_params(curve, center, radii, normal)
-    for g in range(count):
-        sphere = Sphere(center[:, g], radii[g], normal[:, g], curve.dimension)
-        golden = sphere_distance(curve.eval(golden_touch_param(curve, nearest[g], sphere)), sphere)
-        assert sphere_distance(curve.eval(params[g]), sphere) <= golden + sphere_slack(curve, sphere)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n=st.sampled_from([2, 3, 6]),
-    reach=st.sampled_from([0.1, 1.0, 3.0]),
-    radius=st.floats(0.05, 3.0),
-)
-def test_segment_distance_is_unimodal_on_each_convex_piece(seed, n, reach, radius):
-    """Sampled at 2001 points, a segment's distance to a sphere falls and
-    then rises on each piece that ``_convex_pieces`` gives: the segment
-    search can then keep the neighbours of its least sample."""
-    rng = np.random.default_rng(seed)
-    center, x0 = rng.standard_normal(n), rng.standard_normal(n)
-    e = reach * rng.standard_normal(n)
-    normal = rng.standard_normal(n)
+def test_touch_param_gives_back_a_point_of_any_segment(drawn, fraction, size, tilt):
+    """A small sphere through the point at ``fraction`` of a random segment
+    j, with its normal within 45 degrees of the segment: where the sphere's
+    nearest vertex is j or j + 1, the touch parameter is that point's."""
+    curve, rng, _ = drawn
+    m, params = curve.n_vertices, curve.params
+    j = int(rng.integers(0, m))
+    t_cross = params[j] + fraction * (params[j + 1] - params[j])
+    along = curve.points[(j + 1) % m] - curve.points[j]
+    unit = along / np.linalg.norm(along)
+    normal = unit + tilt * unit_normal_to(rng, unit)
     normal /= np.linalg.norm(normal)
-    sphere = Sphere(center, radius, normal, n)
-    v0 = x0 - center
-    h0, h1, ee = v0 @ normal, e @ normal, e @ e
-    coef = np.array([[h0], [h1], [v0 @ v0 - h0 * h0], [2.0 * (v0 @ e - h0 * h1)], [ee - h1 * h1],
-                     [radius]])
-    (cut,), (resume,) = _convex_pieces(coef, np.array([ee]))
-    for lo, hi in [(0.0, cut), (resume, 1.0)] if cut < 1.0 else [(0.0, 1.0)]:
-        d = np.array([sphere_distance(x0 + tau * e, sphere) for tau in np.linspace(lo, hi, 2001)])
-        least = int(np.argmin(d))
-        slack = 1e-12 * (1.0 + d.max())
-        assert np.all(np.diff(d[:least + 1]) <= slack)
-        assert np.all(np.diff(d[least:]) >= -slack)
+    radius = size * np.linalg.norm(along)
+    center = curve.eval(t_cross) + radius * unit_normal_to(rng, normal)
+    columns = (center[:, None], np.array([radius]), normal[:, None])
+    (k,) = _nearest_vertices(curve, *columns)
+    assume(k in (j, (j + 1) % m))
+    (t,) = _nearest_params(curve, *columns)
+    assert modular_distance(t, t_cross) <= 1e-12
 
 
 @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
@@ -281,8 +255,6 @@ def test_touch_param_on_the_closing_segment(scale, fraction, vertex):
     assert k == {"last": m - 1, "first": 0}[vertex]
     assert params[m - 1] <= t < 1.0
     assert modular_distance(t, t_cross) <= 1e-12
-    golden = sphere_distance(curve.eval(golden_touch_param(curve, k, sphere)), sphere)
-    assert sphere_distance(curve.eval(t), sphere) <= golden + sphere_slack(curve, sphere)
 
 
 @settings(max_examples=EXAMPLES, deadline=None)

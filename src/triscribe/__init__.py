@@ -24,10 +24,8 @@ from .solvers import (
     SimilarOutcome,
     SweepResult,
     WindingSample,
-    check_hypothesis,
     check_strong_monotone,
     chord_angle_bounds,
-    completed_report,
     near_base_param,
     ratio_path,
     refine_similar,
@@ -54,10 +52,8 @@ __all__ = [
     "TriangleShape",
     "TriscribeError",
     "WindingSample",
-    "check_hypothesis",
     "check_strong_monotone",
     "chord_angle_bounds",
-    "completed_report",
     "curve_from_json",
     "curve_from_spec",
     "equilateral_shape",

@@ -30,7 +30,6 @@ from .solvers import (
     InscribedTriangle,
     check_strong_monotone,
     chord_angle_bounds,
-    completed_report,
     ratio_path,
     similar_window,
     solve_equilateral,
@@ -265,10 +264,7 @@ def _solve_equilateral(args, curve, shape):
 
 def _check_hypothesis(args, curve, shape):
     ladder = EPSILON_LADDER if args.delta is None else [args.delta]
-    reports = [
-        completed_report(chord_angle_bounds(curve, delta, args.samples), shape.vertex_angle)
-        for delta in ladder
-    ]
+    reports = [chord_angle_bounds(curve, delta, shape.vertex_angle) for delta in ladder]
     chosen = next((rep for rep in reports if rep.satisfied), reports[-1])
     return {"hypothesis": chosen, "ladder": reports, "satisfied": chosen.satisfied}, None
 
@@ -276,7 +272,7 @@ def _check_hypothesis(args, curve, shape):
 def _check_monotone(args, curve, shape):
     ladder = EPSILON_LADDER if args.epsilon is None else [args.epsilon]
     scanned = [
-        {"epsilon": eps, "strongly_monotone": check_strong_monotone(curve, eps, args.samples)}
+        {"epsilon": eps, "strongly_monotone": check_strong_monotone(curve, eps)}
         for eps in ladder
     ]
     chosen = next((row["epsilon"] for row in scanned if row["strongly_monotone"]), None)
@@ -333,13 +329,11 @@ def build_parser():
     p = sub.add_parser("check-hypothesis", help="report the chord-angle condition")
     common(p, angles=True)
     p.add_argument("--delta", type=_window, help="window half-width (default: ladder)")
-    p.add_argument("--samples", type=_at_least(8), default=64, help="grid nodes per axis")
     p.set_defaults(fn=_check_hypothesis)
 
     p = sub.add_parser("check-monotone", help="report strong monotonicity at the base")
     common(p)
     p.add_argument("--epsilon", type=_window, help="window half-width (default: ladder)")
-    p.add_argument("--samples", type=_at_least(4), default=32, help="probe points")
     p.set_defaults(fn=_check_monotone)
 
     p = sub.add_parser("sweep", help="run the invariant sweep without refinement")

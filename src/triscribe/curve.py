@@ -583,6 +583,14 @@ def _check_samples(count):
         )
 
 
+def _whole(name, value):
+    """``value`` as an int, refusing one that is not a whole number (a
+    string, a fraction, NaN or inf)."""
+    if isinstance(value, str) or not float(value).is_integer():
+        raise InvalidArgumentError(f"{name} must be an integer, got {value}")
+    return int(value)
+
+
 def _size(value):
     """A generator size parameter as a float for its cap: inf when it
     overflows one, NaN when it is not a number (its generator refuses it)."""
@@ -600,9 +608,7 @@ def make_curve(generator, samples=4096, **params):
         raise InvalidArgumentError(
             f"unknown generator {generator!r}; choose from {sorted(GENERATORS)}"
         )
-    if isinstance(samples, str) or not float(samples).is_integer():
-        raise InvalidArgumentError(f"samples must be an integer, got {samples}")
-    samples = int(samples)
+    samples = _whole("samples", samples)
     _check_samples(samples)
     fn = GENERATORS[generator]
     accepted = list(inspect.signature(fn).parameters)[1:]
@@ -617,6 +623,8 @@ def make_curve(generator, samples=4096, **params):
             raise InvalidArgumentError(
                 f"generator parameter {key} must be at most {SIZE_CAPS[key]}, got {params[key]}"
             )
+        if not isinstance(params[key], str):  # a string is left to its generator to read
+            _whole(f"generator parameter {key}", params[key])
     pts = fn(samples, **params)
     return Curve(pts)
 

@@ -23,7 +23,7 @@ limits, and both sufficient-condition checks warn instead of aborting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -44,6 +44,8 @@ from .shape import equilateral_shape, residuals
 EPSILON_LADDER = (0.2, 0.1, 0.05, 0.02, 0.01)
 FALLBACK_EPSILON = 0.05
 ANGLE_SAMPLES = 64  # chord-angle grid nodes per axis
+_MONOTONE_PROBES = 32  # probe points of the strong-monotone check
+_MONOTONE_GRID = 256  # window parameters at which each probe's dot product is compared
 RATIO_SAMPLES = 1024  # points per ratio path of a loop winding
 PROBE_SAMPLES = 2048  # points of the ratio path probed for the third vertex's seed
 DISTANCE_SAMPLES = 2048  # parameters of the scan of _param_at_distance
@@ -69,19 +71,21 @@ _PROJECTION_BASE = np.array([1.0, 0.0])  # the point the projected curve winds a
 
 @dataclass(frozen=True)
 class AngleConditionReport:
-    """Chord-angle bounds near the base point at window half-width ``delta``.
+    """Chord-angle bounds near the base point at window half-width ``delta``,
+    on ``ANGLE_SAMPLES`` chords a side, judged for one vertex angle.
 
     ``sup_outgoing`` is the largest angle between two chords from the base to
     points just past it; ``inf_straddling`` is the smallest angle between a
-    chord just before the base and one just past it.  The sufficient condition
-    for the sphere sweep is sup_outgoing < vertex angle < inf_straddling.
+    chord just before the base and one just past it.  ``satisfied`` is the
+    sufficient condition for the sphere sweep, sup_outgoing < ``vertex_angle``
+    < inf_straddling.
     """
 
     delta: float
     sup_outgoing: float
     inf_straddling: float
-    vertex_angle: float | None = None
-    satisfied: bool | None = None
+    vertex_angle: float
+    satisfied: bool
 
 
 def _unit_chords(curve, params, base):
@@ -92,36 +96,28 @@ def _unit_chords(curve, params, base):
     return rel / norms[:, None]
 
 
-def chord_angle_bounds(curve, delta, samples=64):
-    """Estimate the chord-angle bounds on a samples x samples grid.
+def chord_angle_bounds(curve, delta, vertex_angle):
+    """The angle condition for ``vertex_angle`` at window half-width
+    ``delta``, its bounds estimated on an ``ANGLE_SAMPLES`` x
+    ``ANGLE_SAMPLES`` grid.
 
     Grid nodes are offset by half a step so the open interval endpoints are
     never evaluated.
     """
     if not 0.0 < delta < 0.5:
         raise InvalidArgumentError("delta must lie in (0, 0.5)")
-    if samples < 8:
-        raise InvalidArgumentError("need at least 8 samples per axis")
+    if not 0.0 < vertex_angle < math.pi:
+        raise InvalidArgumentError("vertex angle must lie in (0, pi)")
     base = curve.origin
-    offsets = (np.arange(samples) + 0.5) / samples * delta
+    offsets = (np.arange(ANGLE_SAMPLES) + 0.5) / ANGLE_SAMPLES * delta
     outgoing = _unit_chords(curve, offsets, base)
     incoming = _unit_chords(curve, 1.0 - delta + offsets, base)
     dots_out = np.clip(outgoing @ outgoing.T, -1.0, 1.0)
     dots_cross = np.clip(incoming @ outgoing.T, -1.0, 1.0)
     sup_outgoing = float(np.arccos(dots_out.min()))
     inf_straddling = float(np.arccos(dots_cross.max()))
-    return AngleConditionReport(float(delta), sup_outgoing, inf_straddling)
-
-
-def check_hypothesis(report, vertex_angle):
-    """True when the angle condition certifies the sweep for this vertex angle."""
-    return bool(report.sup_outgoing < vertex_angle < report.inf_straddling)
-
-
-def completed_report(report, vertex_angle):
-    return replace(
-        report, vertex_angle=float(vertex_angle), satisfied=check_hypothesis(report, vertex_angle)
-    )
+    return AngleConditionReport(float(delta), sup_outgoing, inf_straddling, float(vertex_angle),
+                                bool(sup_outgoing < vertex_angle < inf_straddling))
 
 
 # -- sphere winding invariant ------------------------------------------------
@@ -881,11 +877,10 @@ def _ladder(scan, passes, failed, uncertified):
 def similar_window(curve, shape):
     """``(epsilon, hypothesis, warnings)`` of ``_ladder`` over the angle
     condition for ``shape`` at the curve's base point: the window that
-    ``solve_similar`` sweeps at, its completed angle report and the
+    ``solve_similar`` sweeps at, its angle report and the
     ladder's warnings."""
     return _ladder(
-        lambda delta: completed_report(chord_angle_bounds(curve, delta, ANGLE_SAMPLES),
-                                       shape.vertex_angle),
+        lambda delta: chord_angle_bounds(curve, delta, shape.vertex_angle),
         lambda report: report.satisfied, "angle scan at delta={} failed: {}",
         "angle condition not certified on the ladder; continuing anyway "
         "(the condition is sufficient, not necessary)")
@@ -919,8 +914,9 @@ def solve_similar(curve, shape, base_param=0.0, grid_size=256, residual_tol=1e-9
 # -- equilateral solver via ratio paths ---------------------------------------
 
 
-def check_strong_monotone(curve, epsilon, samples=32):
-    """Test whether chord dot products are monotone across the base window.
+def check_strong_monotone(curve, epsilon):
+    """Test whether chord dot products are monotone across the base window,
+    on ``_MONOTONE_PROBES`` probes and a ``_MONOTONE_GRID``-node grid.
 
     For each probe point p in the window, the function of the window parameter
     ``(gamma(t) - o) . (p - o)`` must be monotone in one direction over the
@@ -930,19 +926,16 @@ def check_strong_monotone(curve, epsilon, samples=32):
     """
     if not 0.0 < epsilon < 0.5:
         raise InvalidArgumentError("epsilon must lie in (0, 0.5)")
-    if samples < 4:
-        raise InvalidArgumentError("need at least 4 probe points")
     base = curve.origin
-    n_grid = max(256, 8 * samples)
-    taus = -epsilon + (np.arange(n_grid) + 0.5) * (2.0 * epsilon / n_grid)
+    taus = -epsilon + (np.arange(_MONOTONE_GRID) + 0.5) * (2.0 * epsilon / _MONOTONE_GRID)
     rel = curve.eval_many(np.mod(taus, 1.0)) - base
     dists = row_norms(rel)
     away = np.abs(taus) > epsilon / 8.0
     if np.any(dists[away] < 1e-13 * curve.extent):
         raise DegenerateConfigurationError("curve revisits the base point inside the window")
-    sigmas = -epsilon + (np.arange(samples) + 0.5) * (2.0 * epsilon / samples)
+    sigmas = -epsilon + (np.arange(_MONOTONE_PROBES) + 0.5) * (2.0 * epsilon / _MONOTONE_PROBES)
     probes = curve.eval_many(np.mod(sigmas, 1.0)) - base
-    values = rel @ probes.T  # (n_grid, samples)
+    values = rel @ probes.T  # (grid node, probe)
     diffs = np.diff(values, axis=0)
     tol = 1e-12 * row_norms(probes) * max(dists.max(), 1e-300)
     non_decreasing = np.all(diffs >= -tol[None, :], axis=0)

@@ -148,6 +148,35 @@ class TestCheckCommands:
         _, solved = run_json(capsys, ["solve-similar", *argv])
         assert swept["sweep"] == solved["sweep"]
 
+    @pytest.mark.parametrize("curve, angles, base", [
+        ("gen:ellipse,a=2,b=1,samples=512", "60,60,60", "0"),
+        ("gen:trefoil,samples=1024", "110,35,35", "0.25"),
+        ("gen:tilted_circle_nd,n=3,samples=1024", "110,35,35", "0"),
+        ("gen:corner_wedge,samples=512", "90,45,45", "0"),  # no rung certifies
+    ])
+    def test_check_hypothesis_block_is_solve_similar_s(self, capsys, curve, angles, base):
+        """``check-hypothesis`` without ``--delta`` runs the angle check
+        ``solve-similar`` runs, so both report the same hypothesis block."""
+        argv = ["--curve", curve, "--angles", angles, "--base", base, "--no-timing"]
+        _, checked = run_json(capsys, ["check-hypothesis", *argv])
+        _, solved = run_json(capsys, ["solve-similar", *argv])
+        assert checked["hypothesis"] == solved["hypothesis"]
+
+    @pytest.mark.parametrize("curve, base", [
+        ("gen:ellipse,a=2,b=1,samples=512", "0"),
+        ("gen:trefoil,samples=1024", "0.25"),
+        ("gen:tilted_circle_nd,n=3,samples=1024", "0"),
+        ("gen:corner_wedge,samples=512", "0.25"),
+    ])
+    def test_check_monotone_epsilon_is_solve_equilateral_s(self, capsys, curve, base):
+        """``check-monotone`` runs the monotone check ``solve-equilateral``
+        runs, so a rung that passes is the window both report."""
+        argv = ["--curve", curve, "--base", base, "--no-timing"]
+        _, checked = run_json(capsys, ["check-monotone", *argv])
+        _, solved = run_json(capsys, ["solve-equilateral", *argv])
+        assert checked["epsilon"] is not None
+        assert checked["epsilon"] == solved["monotone"]["epsilon"]
+
 
 class TestErrorPaths:
     def test_bad_flags(self, capsys):
@@ -196,8 +225,6 @@ class TestErrorPaths:
             (["check-hypothesis", "--angles", "60,60,60", "--delta", "0.7"], "--delta"),
             (["check-monotone", "--epsilon", "0"], "--epsilon"),
             (["check-monotone", "--epsilon", "0.5"], "--epsilon"),
-            (["check-hypothesis", "--angles", "60,60,60", "--samples", "7"], "--samples"),
-            (["check-monotone", "--samples", "3"], "--samples"),
             (["solve-equilateral", "--grid", "7"], "--grid"),
             (["sweep", "--angles", "60,60,60", "--tol", "1e-6"], "--tol"),
             (["solve-similar", "--angles", "60,60,60", "--plot-ratio-path", "abc"],
@@ -214,6 +241,18 @@ class TestErrorPaths:
         assert code == EXIT_USAGE
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1 and flag in captured.err
+
+    @pytest.mark.parametrize("command", ["check-hypothesis", "check-monotone"])
+    def test_check_commands_take_no_samples(self, capsys, command):
+        """The check commands run the solvers' fixed grids: ``--samples`` is
+        not one of their flags."""
+        argv = [command, "--curve", "gen:circle,samples=256", "--samples", "64"]
+        if command == "check-hypothesis":
+            argv += ["--angles", "60,60,60"]
+        assert run(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: unrecognized arguments: --samples 64\n"
 
     @pytest.mark.parametrize(
         "spec, word",
@@ -312,6 +351,43 @@ class TestErrorPaths:
         assert code == EXIT_USAGE and captured.out == "" and calls == []
         assert captured.err == (f"usage error: generator parameter {key} must be at most "
                                 f"{SIZE_CAPS[key]}, got {over}\n")
+
+    @pytest.mark.parametrize("spec, key", [
+        ("gen:tilted_circle_nd,n=3.7", "n"), ("gen:polygon,sides=4.5", "sides"),
+        ("gen:fourier,terms=2.9", "terms"), ("gen:tilted_circle_nd,n=nan", "n"),
+    ])
+    def test_fractional_generator_size(self, monkeypatch, capsys, spec, key):
+        """A ``gen:`` size parameter that is not a whole number is a usage
+        error, refused before the generator runs."""
+        calls = unbuilt_generator(monkeypatch, spec[4:].split(",")[0])
+        code = run(["check-monotone", "--curve", spec])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == "" and calls == []
+        value = spec.split("=")[1]
+        assert captured.err == (f"usage error: generator parameter {key} must be an integer, "
+                                f"got {value}\n")
+
+    @pytest.mark.parametrize("generator, key, value", [
+        ("tilted_circle_nd", "n", 3.7), ("polygon", "sides", 4.5), ("fourier", "terms", 2.9),
+    ])
+    def test_fractional_curve_file_size(self, monkeypatch, capsys, tmp_path, generator, key,
+                                        value):
+        """A curve file whose size parameter is not a whole number is an
+        invalid curve: exit 1, before the generator runs."""
+        calls = unbuilt_generator(monkeypatch, generator)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"generator": generator, "params": {key: value}}))
+        code = run(["check-monotone", "--curve", str(spec), "--no-timing"])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR and captured.out == "" and calls == []
+        assert captured.err == f"error: generator parameter {key} must be an integer, got {value}\n"
+
+    def test_whole_float_size_in_curve_file(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"generator": "tilted_circle_nd", "params": {"n": 4.0},
+                                    "samples": 64}))
+        code, report = run_json(capsys, ["check-monotone", "--curve", str(spec), "--no-timing"])
+        assert code == EXIT_OK and report["input"]["dimension"] == 4
 
     @pytest.mark.parametrize("key, value", [("sides", 1e300), ("sides", 10 ** 400),
                                             ("sides", "4194305"), ("n", 17), ("terms", 257.5)],

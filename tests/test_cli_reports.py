@@ -32,8 +32,8 @@ CASES = {
     "solve-equilateral": ["solve-equilateral", "--curve", "gen:ellipse,a=2,b=1,samples=512",
                           "--base", "0.25"],
     "check-hypothesis": ["check-hypothesis", "--curve", "gen:ellipse,a=2,b=1,samples=512",
-                         "--angles", "60,60,60", "--samples", "16"],
-    "check-monotone": ["check-monotone", "--curve", "gen:u_turn,samples=512", "--samples", "8"],
+                         "--angles", "60,60,60"],
+    "check-monotone": ["check-monotone", "--curve", "gen:u_turn,samples=512"],
     "sweep": ["sweep", "--curve", "gen:circle,samples=256", "--angles", "60,60,60",
               "--base", "0.001", "--grid", "16"],
     "plot": ["plot", "--curve", "gen:trefoil,samples=64", "--project",

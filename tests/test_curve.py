@@ -181,8 +181,9 @@ class TestSampleCap:
 
 
 class TestSizeCaps:
-    """``make_curve`` refuses a size parameter over its ``SIZE_CAPS`` entry
-    before the generator runs, and passes one at the cap through."""
+    """``make_curve`` refuses a size parameter over its ``SIZE_CAPS`` entry,
+    or one that is not a whole number, before the generator runs, and passes
+    one at the cap through."""
 
     CASES = [("tilted_circle_nd", "n"), ("polygon", "sides"), ("fourier", "terms")]
 
@@ -191,6 +192,14 @@ class TestSizeCaps:
         calls = unbuilt_generator(monkeypatch, generator)
         with pytest.raises(InvalidArgumentError, match=f"{key} must be at most {SIZE_CAPS[key]}"):
             make_curve(generator, samples=16, **{key: SIZE_CAPS[key] + 1})
+        assert calls == []
+
+    @pytest.mark.parametrize("generator, key", CASES)
+    @pytest.mark.parametrize("value", [3.5, math.nan, -math.inf])
+    def test_a_size_that_is_not_whole_is_refused(self, monkeypatch, generator, key, value):
+        calls = unbuilt_generator(monkeypatch, generator)
+        with pytest.raises(InvalidArgumentError, match=f"parameter {key} must be an integer"):
+            make_curve(generator, samples=16, **{key: value})
         assert calls == []
 
     @pytest.mark.parametrize("generator, key", CASES)

@@ -8,10 +8,9 @@ PUBLIC = """
     AngleConditionReport Curve DegenerateConfigurationError EquilateralOutcome InfeasibleShapeError
     InscribedTriangle InvalidArgumentError NoBracketError RefineFailedError
     SimilarOutcome SingularPathError SweepResult TriangleShape TriscribeError WindingSample
-    check_hypothesis check_strong_monotone chord_angle_bounds completed_report curve_from_json
-    curve_from_spec equilateral_shape load_curve make_curve near_base_param ratio_path
-    refine_similar residuals shape_from_angles shape_from_degrees solve_equilateral solve_similar
-    sweep_similar
+    check_strong_monotone chord_angle_bounds curve_from_json curve_from_spec equilateral_shape
+    load_curve make_curve near_base_param ratio_path refine_similar residuals shape_from_angles
+    shape_from_degrees solve_equilateral solve_similar sweep_similar
 """.split()
 
 

@@ -14,9 +14,7 @@ from triscribe import (
     NoBracketError,
     RefineFailedError,
     SingularPathError,
-    check_hypothesis,
     chord_angle_bounds,
-    completed_report,
     equilateral_shape,
     make_curve,
     near_base_param,
@@ -75,7 +73,7 @@ def dense_angle_oracle(curve, delta, samples):
 
 class TestChordAngleBounds:
     def test_ellipse_bounds_match_dense_oracle(self, ellipse4096):
-        report = chord_angle_bounds(ellipse4096, 0.01, 64)
+        report = chord_angle_bounds(ellipse4096, 0.01, math.radians(60))
         sup_oracle, inf_oracle = dense_angle_oracle(ellipse4096, 0.01, 512)
         assert report.sup_outgoing < 0.2 and sup_oracle < 0.2
         assert report.inf_straddling > 2.9 and inf_oracle > 2.9
@@ -84,27 +82,40 @@ class TestChordAngleBounds:
 
     def test_corner_wedge_right_angle(self):
         wedge = make_curve("corner_wedge", samples=1024)
-        report = chord_angle_bounds(wedge, 0.02, 64)
+        report = chord_angle_bounds(wedge, 0.02, math.radians(60))
         assert report.sup_outgoing < 1e-3  # chords lie along one straight leg
         assert abs(report.inf_straddling - math.pi / 2) < 1e-3
 
     def test_sup_nonnegative(self, circle4096):
-        report = chord_angle_bounds(circle4096, 0.1, 16)
+        report = chord_angle_bounds(circle4096, 0.1, math.radians(60))
         assert report.sup_outgoing >= 0.0
+
+    @pytest.mark.parametrize("vertex_angle", [64, 0.0, math.pi, -1.0, math.nan, math.inf])
+    def test_vertex_angle_outside_open_interval(self, circle4096, vertex_angle):
+        """The third argument is the vertex angle; a value outside (0, pi),
+        such as the sample count the function once took there, is refused."""
+        with pytest.raises(InvalidArgumentError, match="vertex angle must lie in"):
+            chord_angle_bounds(circle4096, 0.1, vertex_angle)
+
+    def test_report_is_always_judged(self):
+        with pytest.raises(TypeError):
+            solvers.AngleConditionReport(0.1, 0.0, math.pi)
 
 
 class TestCheckHypothesis:
     def test_ellipse_passes_for_sixty_degrees(self, ellipse4096):
-        report = chord_angle_bounds(ellipse4096, 0.01, 64)
-        assert check_hypothesis(report, math.radians(60))
+        report = chord_angle_bounds(ellipse4096, 0.01, math.radians(60))
+        assert report.satisfied is True and report.vertex_angle == math.radians(60)
 
     def test_corner_wedge_sixty_true(self):
-        report = chord_angle_bounds(make_curve("corner_wedge", samples=1024), 0.02, 64)
-        assert check_hypothesis(report, math.radians(60))
+        report = chord_angle_bounds(make_curve("corner_wedge", samples=1024), 0.02,
+                                    math.radians(60))
+        assert report.satisfied is True
 
     def test_corner_wedge_170_false(self):
-        report = chord_angle_bounds(make_curve("corner_wedge", samples=1024), 0.02, 64)
-        assert not check_hypothesis(report, math.radians(170))
+        report = chord_angle_bounds(make_curve("corner_wedge", samples=1024), 0.02,
+                                    math.radians(170))
+        assert report.satisfied is False
 
 
 class TestSphereWinding:
@@ -1145,6 +1156,6 @@ def test_ladder_skips_a_rung_whose_scan_raises(monkeypatch, circle4096, angles, 
         assert outcome.hypothesis is None
     else:
         delta, satisfied = scanned
-        want = completed_report(real(circle4096, delta, solvers.ANGLE_SAMPLES), shape.vertex_angle)
+        want = real(circle4096, delta, shape.vertex_angle)
         assert outcome.hypothesis == want and want.satisfied is satisfied
     assert len(outcome.triangles) == 1

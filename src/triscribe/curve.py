@@ -26,8 +26,12 @@ MAX_SAMPLES = 2 ** 22  # 64 times the largest benchmark curve; a larger count is
 # unbuilt: the ambient dimension of tilted_circle_nd (the largest benchmark
 # curve has 6), the corners of polygon and the terms of fourier's sum.
 SIZE_CAPS = {"n": 16, "sides": MAX_SAMPLES, "terms": 256}
+# Generator parameters that must be whole numbers: the sizes and fourier's seed.
+WHOLE_PARAMS = SIZE_CAPS.keys() | {"seed"}
 BLOCK_SIZE = 64  # segments per box of the block bounding-box index
 PRUNE_BLOCKS = 32  # (query, block) pairs per pass of the block search
+TREE_FANOUT = 8  # boxes of the level below per box of the block tree
+TREE_TOP = 128  # the block tree gains a level while its top has more boxes
 _BLOCK_SPAN = np.arange(BLOCK_SIZE)
 
 
@@ -105,6 +109,7 @@ class Curve:
         self._bounds = None
         self._extent = None
         self._blocks = None
+        self._block_tree = None
 
     # -- basic accessors -------------------------------------------------
 
@@ -186,6 +191,34 @@ class Curve:
             half.setflags(write=False)
             self._blocks = (mid, half)
         return self._blocks
+
+    @property
+    def block_tree(self):
+        """Levels of boxes over ``blocks``, bottom first: a tuple of ``(mid,
+        half)`` pairs, the first of them ``blocks``.
+
+        Box a of a level above the first holds boxes a F ... a F + F - 1 of
+        the level below (F = ``TREE_FANOUT``), capped at its last: the
+        corners of its box are the least and greatest of those boxes'
+        rounded corners mid -+ half, so it holds them to within 2^-51 times
+        the coordinate's largest magnitude over the vertices on each side.  A level is added
+        while the top has more than ``TREE_TOP`` boxes, so a curve of at most
+        ``TREE_TOP * BLOCK_SIZE`` vertices has the blocks alone.
+        """
+        if self._block_tree is None:
+            levels = [self.blocks]
+            while levels[-1][0].shape[1] > TREE_TOP:
+                mid, half = levels[-1]
+                starts = np.arange(0, mid.shape[1], TREE_FANOUT)
+                lower = np.minimum.reduceat(mid - half, starts, axis=1)
+                upper = np.maximum.reduceat(mid + half, starts, axis=1)
+                mid = (lower + upper) / 2.0
+                half = (upper - lower) / 2.0
+                mid.setflags(write=False)
+                half.setflags(write=False)
+                levels.append((mid, half))
+            self._block_tree = tuple(levels)
+        return self._block_tree
 
     def __repr__(self):
         return f"Curve(m={self.n_vertices}, n={self.dimension}, length={self._total_length:.6g})"
@@ -586,7 +619,7 @@ def _check_samples(count):
 def _whole(name, value):
     """``value`` as an int, refusing one that is not a whole number (a
     string, a fraction, NaN or inf)."""
-    if isinstance(value, str) or not float(value).is_integer():
+    if isinstance(value, str) or not (isinstance(value, int) or float(value).is_integer()):
         raise InvalidArgumentError(f"{name} must be an integer, got {value}")
     return int(value)
 
@@ -618,8 +651,8 @@ def make_curve(generator, samples=4096, **params):
             f"unknown parameter(s) {', '.join(unknown)} for generator {generator!r}; "
             f"accepted: {', '.join(accepted) or 'none'}"
         )
-    for key in sorted(SIZE_CAPS.keys() & params.keys()):
-        if _size(params[key]) > SIZE_CAPS[key]:
+    for key in sorted(WHOLE_PARAMS & params.keys()):
+        if _size(params[key]) > SIZE_CAPS.get(key, math.inf):
             raise InvalidArgumentError(
                 f"generator parameter {key} must be at most {SIZE_CAPS[key]}, got {params[key]}"
             )

@@ -28,7 +28,7 @@ from functools import partial
 
 import numpy as np
 
-from .curve import BLOCK_SIZE, row_norms
+from .curve import BLOCK_SIZE, TREE_FANOUT, row_norms
 from .errors import (
     DegenerateConfigurationError,
     InfeasibleShapeError,
@@ -62,6 +62,7 @@ PAIR_BUDGET = 2048
 # Entries per chunk or slice of the candidate scans, in multiples of PAIR_BUDGET:
 # a scan holds about 4 arrays an entry, the exact pass about 25.
 SCAN_MULTIPLE = 4
+_FANOUT_SPAN = np.arange(TREE_FANOUT)
 _SEGMENT_ENDS = np.array([[0], [1]])  # offsets of a segment's start and end vertex
 _PROJECTION_BASE = np.array([1.0, 0.0])  # the point the projected curve winds around
 
@@ -336,26 +337,55 @@ def _candidate_pairs(curve, center, radius, normal, thr):
     ``PAIR_BUDGET`` pairs at a time (the last batch shorter), in the order
     of the scan: node by node of each chunk, blocks and segments ascending.
 
-    Two passes, both on h~ = normal . x against normal . center, where
+    Two tests, both on h~ = normal . x against o = normal . center, where
     ``delta`` bounds the rounding of those dot products and of the exact
     h = normal . (x - center), so a segment is left out only when both ends
-    lie beyond thr on one side in the exact projection too.  The first pass
-    tests every (node, block) pair of the curve's block index:
-    normal . x stays within |normal| . half of normal . mid on the block's
-    box, and widening by 2 delta covers the rounding of that interval, so a
-    block is dropped only when every vertex of it lies beyond the window on
-    one side.  The second takes h~ on the vertices of the surviving blocks
-    and keeps a segment unless both its ends lie beyond the window on one
-    side.  The first pass takes the nodes in chunks and the second the
-    surviving blocks in slices, so that neither holds more than
-    ``SCAN_MULTIPLE * PAIR_BUDGET`` entries; the second queues the pairs it
-    keeps and carries what does not fill a batch to the next slice.  At
-    least one node is needed.
+    lie beyond thr on one side in the exact projection too.  The block test
+    asks of a (node, box) pair whether the gap T = |normal . mid - o| -
+    |normal| . half exceeds the window widened by 2 delta: normal . x stays
+    within |normal| . half of normal . mid on the box, and 2 delta covers the
+    rounding of T, so a block is dropped only when every vertex of it lies
+    beyond the window on one side.  The vertex test takes h~ on the vertices
+    of the surviving blocks and keeps a segment unless both its ends lie
+    beyond the window on one side.
+
+    The block test walks ``curve.block_tree`` top down: every (node, box)
+    pair of the top level, then at each level below only the children of
+    the pairs that survived the level above; the blocks that survive level
+    0 go to the vertex test.  Level L widens the window by L delta more.
+    No ancestor drops a block the block test keeps.  Let T be the gap in
+    exact arithmetic on the stored floats, T~ its computed value, u =
+    2^-53, X_i the largest |x_i| over the vertices and x_max = |X| (the
+    box corner farthest from the origin), so delta = 4 (n + 2) u (x_max +
+    |center|).  (i) A box A holds the box of each child c to within s_i =
+    2^-51 X_i on axis i (``Curve.block_tree``), so |mid_A - mid_c| <= half_A
+    - half_c + s on each axis and T(A) <= T(c) + sum |normal_i| s_i <=
+    T(c) + 2^-51 x_max, at most T(c) + delta / 4 for n >= 2; over L levels,
+    T(A) <= T(b) + L delta / 4 for the block b under A.  (ii) A dot product
+    of n terms, summed in any order, errs by at most n u sum |a_i b_i| to
+    first order, and |mid_i| + half_i <= X_i, so |T~ - T| <= (n + 3) u
+    (x_max + |o|) <= 5 delta / 16, however T~ is summed.  (iii) So when
+    T~(b) <= reach, T~(A) <= T(b) + L delta / 4 + 5 delta / 16 <= reach +
+    5 delta / 8 + L delta / 4 <= reach + L delta, and since T~(A) is a
+    float and rounding is monotone, T~(A) <= fl(reach + L delta): A keeps
+    the pair.  The level-0 test of a tall tree sums its dot products axis
+    by axis, where the dense test takes a matrix product, and the two may
+    round a gap differently; by (ii) a block they decide differently has
+    T(b) > reach - 5 delta / 16, so every vertex of it lies more than the
+    window plus delta beyond it on one side, and it holds no candidate
+    segment either way.  So the candidate pairs are those of the dense
+    block test (``tests/reference.py``).
+
+    The top test takes the nodes in chunks, and each lower test and the
+    vertex test the surviving pairs in slices, so that none holds more than
+    ``SCAN_MULTIPLE * PAIR_BUDGET`` entries; the vertex test queues the
+    pairs it keeps and carries what does not fill a batch to the next
+    slice.  At least one node is needed.
     """
     m = curve.n_vertices
     columns = curve.columns
     lower, upper = curve.bounds
-    mid, half = curve.blocks
+    tree = curve.block_tree
     # The box corner farthest from the origin bounds every |x|.
     x_max = float(np.linalg.norm(np.maximum(-lower, upper)))
     delta = 4.0 * (columns.shape[0] + 2) * 2.0 ** -53 * (x_max + row_norms(center))
@@ -363,18 +393,24 @@ def _candidate_pairs(curve, center, radius, normal, thr):
     # 1 + 1e-12 covers the relative rounding of thr * r and of z = h / r.
     window = thr * radius * (1.0 + 1e-12) + delta
     high, low = offset + window, offset - window
-    reach = window + 2.0 * delta
+    # The block test's bound at each level of the tree, the blocks' first.
+    reach = [window + 2.0 * delta + level * delta for level in range(len(tree))]
     scan = SCAN_MULTIPLE * PAIR_BUDGET
+    top = len(tree) - 1
+    mid, half = tree[top]
     chunk = max(1, scan // mid.shape[1])
     nodes, blocks = [], []
     for g0 in range(0, normal.shape[0], chunk):
         part = normal[g0:g0 + chunk]
         gap = np.abs(part @ mid - offset[g0:g0 + chunk, None])
         gap -= np.abs(part) @ half
-        node, block = np.nonzero(gap <= reach[g0:g0 + chunk, None])
+        node, block = np.nonzero(gap <= reach[top][g0:g0 + chunk, None])
         nodes.append(node + g0)
         blocks.append(block)
     nodes, blocks = np.concatenate(nodes), np.concatenate(blocks)
+    for level in range(top - 1, -1, -1):
+        nodes, blocks = _surviving_children(tree[level], normal, offset, reach[level],
+                                            nodes, blocks, scan)
     span = np.arange(BLOCK_SIZE + 1)
     per_slice = max(1, scan // span.size)
     queue_node, queue_seg, queued = [], [], 0
@@ -404,6 +440,38 @@ def _candidate_pairs(curve, center, radius, normal, thr):
             queue_node, queue_seg, queued = [node[full:]], [seg[full:]], queued - full
     if queued:
         yield np.concatenate(queue_node), np.concatenate(queue_seg)
+
+
+def _surviving_children(level, normal, offset, reach, nodes, boxes, scan):
+    """The (node, box) pairs of tree ``level`` (``(mid, half)``) that pass
+    the block test of ``_candidate_pairs`` at ``reach`` (one entry per
+    node), among the children of the pairs ``nodes``, ``boxes`` of the level
+    above, in their order, children ascending: gaps summed axis by axis,
+    ``scan // TREE_FANOUT`` parent pairs a slice."""
+    mid, half = level
+    count = mid.shape[1]
+    per_slice = max(1, scan // TREE_FANOUT)
+    kept_nodes, kept_boxes = [nodes[:0]], [boxes[:0]]
+    for s0 in range(0, nodes.size, per_slice):
+        g = nodes[s0:s0 + per_slice]
+        parent = boxes[s0:s0 + per_slice]
+        # A short last box repeats its last child; the copies are dropped below.
+        at = np.minimum(parent[:, None] * TREE_FANOUT + _FANOUT_SPAN, count - 1)
+        nrm = normal[g]
+        size = np.abs(nrm)
+        dot = nrm[:, :1] * mid[0][at]
+        width = size[:, :1] * half[0][at]
+        for i in range(1, mid.shape[0]):
+            dot += nrm[:, i:i + 1] * mid[i][at]
+            width += size[:, i:i + 1] * half[i][at]
+        gap = np.abs(dot - offset[g, None])
+        gap -= width
+        row, col = np.nonzero(gap <= reach[g, None])
+        child = parent[row] * TREE_FANOUT + col
+        real = child < count
+        kept_nodes.append(g[row[real]])
+        kept_boxes.append(child[real])
+    return np.concatenate(kept_nodes), np.concatenate(kept_boxes)
 
 
 def _base_distances(rho, z):

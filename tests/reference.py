@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from triscribe import solvers
-from triscribe.curve import point_segment_distances, row_norms
+from triscribe.curve import BLOCK_SIZE, point_segment_distances, row_norms
 from triscribe.errors import (
     DegenerateConfigurationError,
     InfeasibleShapeError,
@@ -329,6 +329,34 @@ def point_segment_distance(x, a, b):
     s = float(np.dot(x - a, ab)) / denom
     s = min(1.0, max(0.0, s))
     return float(np.linalg.norm(x - (a + s * ab)))
+
+
+def dense_candidate_pairs(curve, center, radius, normal, thr):
+    """The (node, segment) pairs of ``solvers._candidate_pairs``, in its
+    order, from the flat scan it replaced: the block test on every (node,
+    block) pair of ``curve.blocks`` in one matrix product, then the vertex
+    test on every vertex of the surviving blocks, as two arrays."""
+    m = curve.n_vertices
+    columns = curve.columns
+    lower, upper = curve.bounds
+    mid, half = curve.blocks
+    x_max = float(np.linalg.norm(np.maximum(-lower, upper)))
+    delta = 4.0 * (columns.shape[0] + 2) * 2.0 ** -53 * (x_max + row_norms(center))
+    offset = (normal * center).sum(axis=1)
+    window = thr * radius * (1.0 + 1e-12) + delta
+    gap = np.abs(normal @ mid - offset[:, None]) - np.abs(normal) @ half
+    node, block = np.nonzero(gap <= (window + 2.0 * delta)[:, None])
+    vertex = np.minimum(block[:, None] * BLOCK_SIZE + np.arange(BLOCK_SIZE + 1), m) % m
+    h = normal[node, 0, None] * columns[0][vertex]
+    for i in range(1, columns.shape[0]):
+        h += normal[node, i, None] * columns[i][vertex]
+    above = h > (offset + window)[node, None]
+    below = h < (offset - window)[node, None]
+    outside = (above[:, :-1] & above[:, 1:]) | (below[:, :-1] & below[:, 1:])
+    row, pos = np.nonzero(~outside)
+    seg = block[row] * BLOCK_SIZE + pos
+    real = seg < m
+    return node[row[real]], seg[real]
 
 
 def ratio_loop(path_far, path_near):

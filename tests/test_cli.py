@@ -327,16 +327,18 @@ class TestErrorPaths:
         assert captured.err == (f"usage error: sample count must lie in [16, {MAX_SAMPLES}], "
                                 f"got {MAX_SAMPLES + 1}\n")
 
-    def test_too_many_curve_file_samples(self, monkeypatch, capsys, tmp_path):
-        """A curve file over the sample cap is an invalid curve: exit 1."""
+    @pytest.mark.parametrize("samples", [1e9, 10 ** 400], ids=["float", "huge-int"])
+    def test_too_many_curve_file_samples(self, monkeypatch, capsys, tmp_path, samples):
+        """A curve file over the sample cap is an invalid curve: exit 1, also
+        for a count too large for a float."""
         calls = unbuilt_generator(monkeypatch)
         spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"generator": "circle", "samples": 1e9}))
+        spec.write_text(json.dumps({"generator": "circle", "samples": samples}))
         code = run(["check-monotone", "--curve", str(spec), "--no-timing"])
         captured = capsys.readouterr()
         assert code == EXIT_ERROR and captured.out == "" and calls == []
         assert captured.err == (f"error: sample count must lie in [16, {MAX_SAMPLES}], "
-                                "got 1000000000\n")
+                                f"got {int(samples)}\n")
 
     @pytest.mark.parametrize("generator, key", [
         ("tilted_circle_nd", "n"), ("polygon", "sides"), ("fourier", "terms"),
@@ -355,10 +357,11 @@ class TestErrorPaths:
     @pytest.mark.parametrize("spec, key", [
         ("gen:tilted_circle_nd,n=3.7", "n"), ("gen:polygon,sides=4.5", "sides"),
         ("gen:fourier,terms=2.9", "terms"), ("gen:tilted_circle_nd,n=nan", "n"),
+        ("gen:fourier,seed=1.5", "seed"),
     ])
     def test_fractional_generator_size(self, monkeypatch, capsys, spec, key):
-        """A ``gen:`` size parameter that is not a whole number is a usage
-        error, refused before the generator runs."""
+        """A ``gen:`` size parameter or fourier seed that is not a whole
+        number is a usage error, refused before the generator runs."""
         calls = unbuilt_generator(monkeypatch, spec[4:].split(",")[0])
         code = run(["check-monotone", "--curve", spec])
         captured = capsys.readouterr()
@@ -369,11 +372,12 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("generator, key, value", [
         ("tilted_circle_nd", "n", 3.7), ("polygon", "sides", 4.5), ("fourier", "terms", 2.9),
+        ("fourier", "seed", 1.5),
     ])
     def test_fractional_curve_file_size(self, monkeypatch, capsys, tmp_path, generator, key,
                                         value):
-        """A curve file whose size parameter is not a whole number is an
-        invalid curve: exit 1, before the generator runs."""
+        """A curve file whose size parameter or fourier seed is not a whole
+        number is an invalid curve: exit 1, before the generator runs."""
         calls = unbuilt_generator(monkeypatch, generator)
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"generator": generator, "params": {key: value}}))

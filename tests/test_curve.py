@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from triscribe import (
     solve_equilateral,
     solve_similar,
 )
-from triscribe.curve import MAX_SAMPLES, SIZE_CAPS
+from triscribe.curve import MAX_SAMPLES, SIZE_CAPS, TREE_FANOUT
 
 from conftest import min_distance_loop, polyline_distance, unbuilt_generator
 
@@ -78,6 +79,32 @@ def test_blocks_hold_their_segments(m):
         for x in (pts[j], pts[(j + 1) % m]):
             assert np.all(np.abs(x - mid[:, b]) <= half[:, b] + slack)
     assert curve.blocks is curve.blocks
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e7])
+@pytest.mark.parametrize("m,sizes", [(16, [1]), (8192, [128]), (8193, [129, 17]),
+                                     (20001, [313, 40])])
+def test_tree_boxes_hold_their_children(m, sizes, shift):
+    """Each box of a level of the block tree holds the boxes of its children,
+    boxes a F ... a F + F - 1 of the level below (capped at the last), to
+    within 2^-51 times the coordinate's largest magnitude on each side,
+    checked in exact arithmetic; levels are added while the top has more
+    than ``TREE_TOP`` boxes.  8193 and 20001 leave a short last box at both
+    levels.  The tree is built on first use and then cached."""
+    curve = Curve(make_curve("trefoil", samples=m).points + shift)
+    assert curve._block_tree is None
+    tree = curve.block_tree
+    assert tree is curve.block_tree and tree[0] is curve.blocks
+    assert [mid.shape[1] for mid, _ in tree] == sizes
+    magnitude = np.abs(curve.points).max(axis=0)
+    for (mid, half), (top_mid, top_half) in zip(tree, tree[1:]):
+        for c in range(mid.shape[1]):
+            a = c // TREE_FANOUT
+            for i, x in enumerate(magnitude):
+                slack = Fraction(2.0 ** -51 * x)
+                m_c, h_c = Fraction(mid[i, c]), Fraction(half[i, c])
+                m_a, h_a = Fraction(top_mid[i, a]), Fraction(top_half[i, a])
+                assert m_a - h_a - slack <= m_c - h_c and m_c + h_c <= m_a + h_a + slack
 
 
 def unit_vertex_equal(a, b):
@@ -182,8 +209,8 @@ class TestSampleCap:
 
 class TestSizeCaps:
     """``make_curve`` refuses a size parameter over its ``SIZE_CAPS`` entry,
-    or one that is not a whole number, before the generator runs, and passes
-    one at the cap through."""
+    or one (or fourier's seed) that is not a whole number, before the
+    generator runs, and passes one at the cap through."""
 
     CASES = [("tilted_circle_nd", "n"), ("polygon", "sides"), ("fourier", "terms")]
 
@@ -194,7 +221,7 @@ class TestSizeCaps:
             make_curve(generator, samples=16, **{key: SIZE_CAPS[key] + 1})
         assert calls == []
 
-    @pytest.mark.parametrize("generator, key", CASES)
+    @pytest.mark.parametrize("generator, key", CASES + [("fourier", "seed")])
     @pytest.mark.parametrize("value", [3.5, math.nan, -math.inf])
     def test_a_size_that_is_not_whole_is_refused(self, monkeypatch, generator, key, value):
         calls = unbuilt_generator(monkeypatch, generator)
@@ -208,6 +235,10 @@ class TestSizeCaps:
         with pytest.raises(AssertionError, match="generator called"):
             make_curve(generator, samples=16, **{key: SIZE_CAPS[key]})
         assert calls == [16]
+
+    def test_a_whole_float_seed_is_its_integer(self):
+        want = make_curve("fourier", samples=64, seed=3).points
+        assert np.array_equal(make_curve("fourier", samples=64, seed=3.0).points, want)
 
 
 class TestFarthestParam:

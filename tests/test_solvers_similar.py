@@ -43,6 +43,7 @@ from reference import (
     Sphere,
     apply_frame,
     canonical_frame,
+    dense_candidate_pairs,
     passes_through,
     sphere_winding,
     third_vertex_sphere,
@@ -443,7 +444,7 @@ BLOCK_INDEX_CURVES = [
 
 @pytest.mark.parametrize("budget", [solvers.PAIR_BUDGET, 70])
 @pytest.mark.parametrize("scale,shift", [(1e-9, 0.0), (1.0, 0.0), (1e9, 0.0), (1.0, 1e7)])
-@pytest.mark.parametrize("samples", [1000, 4097])
+@pytest.mark.parametrize("samples", [1000, 4097, 20001])
 @pytest.mark.parametrize("name,kwargs", BLOCK_INDEX_CURVES)
 def test_block_index_keeps_full_pass_candidates(monkeypatch, name, kwargs, samples, scale, shift, budget):
     """The block test drops no segment the full pass would examine, with a
@@ -462,6 +463,34 @@ def test_block_index_keeps_full_pass_candidates(monkeypatch, name, kwargs, sampl
         center[k] = last + w * (first - last)
     assert_candidates_contain_full_pass(curve, center, radius, normal)
     assert (0, curve.n_vertices - 1) in candidate_pairs(curve, center, radius, normal)
+
+
+@pytest.mark.parametrize("budget", [solvers.PAIR_BUDGET, 70])
+@pytest.mark.parametrize("scale,shift", [(1e-9, 0.0), (1.0, 0.0), (1e9, 0.0), (1.0, 1e7)])
+@pytest.mark.parametrize("samples,levels", [(8193, 2), (20001, 2), (65537, 3)])
+@pytest.mark.parametrize("name,kwargs", BLOCK_INDEX_CURVES)
+def test_block_tree_yields_the_dense_candidates(monkeypatch, name, kwargs, samples, levels, scale,
+                                                shift, budget):
+    """Walking the block tree top down yields exactly the (node, segment)
+    pairs of the dense block test, in its order, on trees of two and three
+    levels with short last boxes, with random spheres from tiny to larger
+    than the curve, some through a vertex, and spheres through the closing
+    segment; with a small budget each lower level is tested in slices of 8
+    parent pairs and the top in chunks of one node or a few."""
+    monkeypatch.setattr(solvers, "PAIR_BUDGET", budget)
+    monkeypatch.setattr(solvers, "SCAN_MULTIPLE", 1)
+    curve = Curve(make_curve(name, samples=samples, **kwargs).points * scale + shift)
+    assert len(curve.block_tree) == levels
+    rng = np.random.default_rng(samples + curve.dimension)
+    center, radius, normal = random_spheres(curve, rng, 24)
+    last, first = curve.points[-1], curve.points[0]
+    for k, w in enumerate((0.0, 0.5, 1.0)):
+        center[k] = last + w * (first - last)
+    thr = 2.0 * np.maximum(SINGULAR_TOL, solvers._vertex_tolerance_bound(curve, center, radius))
+    batches = list(solvers._candidate_pairs(curve, center, radius, normal, thr))
+    node, seg = dense_candidate_pairs(curve, center, radius, normal, thr)
+    assert np.concatenate([node for node, _ in batches]).tolist() == node.tolist()
+    assert np.concatenate([seg for _, seg in batches]).tolist() == seg.tolist()
 
 
 @pytest.mark.parametrize("samples", [1000, 4097])
@@ -632,18 +661,21 @@ def test_base_distances_match_point_segment_distances(segments):
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("name,kwargs,samples,angles", [
-    ("corner_wedge", {}, 4096, (90, 45, 45)),
-    ("tilted_circle_nd", {"n": 6}, 65536, (60, 60, 60)),
+@pytest.mark.parametrize("name,kwargs,samples,angles,cap", [
+    ("corner_wedge", {}, 4096, (90, 45, 45), 2 * 2**20),
+    ("tilted_circle_nd", {"n": 6}, 65536, (60, 60, 60), 2 * 2**20),
+    ("corner_wedge", {}, 65536, (90, 45, 45), 3 * 2**20),
 ])
-def test_grid_memory_is_bounded(monkeypatch, name, kwargs, samples, angles):
+def test_grid_memory_is_bounded(monkeypatch, name, kwargs, samples, angles, cap):
     """The temporaries of the sweep's grid call stay under a fixed cap: on the
     corner_wedge continuum a quarter of the curve is a candidate at every
     node and every node but the ends is singular, so the call includes
     the touch pass of 254 spheres; the n = 6 curve has 65536 vertices in
-    six coordinates.  The curve's cached arrays are built first.  The grid
-    is the sweep's only call of ``_sphere_windings``; the bisection's tree
-    calls take ``_node_windings``."""
+    six coordinates.  At m = 65536 the block tree has two levels, and on
+    the continuum over a quarter of the (node, box) pairs survive at each.
+    The curve's cached arrays, all but the block tree, are built first.
+    The grid is the sweep's only call of ``_sphere_windings``; the
+    bisection's tree calls take ``_node_windings``."""
     curve = make_curve(name, samples=samples, **kwargs)
     curve.columns, curve.blocks
     kernel = solvers._sphere_windings
@@ -663,7 +695,7 @@ def test_grid_memory_is_bounded(monkeypatch, name, kwargs, samples, angles):
     finally:
         tracemalloc.stop()
     assert len(result.grid) == 256 and len(peaks) == 1
-    assert peaks[0] < 2 * 2**20
+    assert peaks[0] < cap
 
 
 def test_touch_pass_memory_is_bounded():
@@ -910,9 +942,10 @@ def test_continuum_at_base_half_keeps_its_triangles():
 @pytest.mark.parametrize("scale", [2.0 ** 500, 1e150])
 def test_solvers_do_not_overflow_on_a_huge_circle(scale):
     """Lengths near 1e150 square to near 1e300, so the distance roots and the
-    touch search's unimodal pieces scale their lengths by a power of two
-    first: no overflow warning (the suite turns it into an error), and by
-    2**500, which is exact, the unit circle's parameters bit for bit."""
+    touch parameters' closed-form fractions scale their lengths by a power
+    of two first: no overflow warning (the suite turns it into an error),
+    and by 2**500, which is exact, the unit circle's parameters bit for
+    bit."""
     unit = make_curve("circle", samples=64)
     curve = Curve(unit.points * scale)
     pairs = []

@@ -509,16 +509,14 @@ def _polyline_chain(pieces, samples):
     """Sample a chain of parametric pieces proportionally to their lengths."""
     lengths = np.array([length for length, _ in pieces], dtype=float)
     total = lengths.sum()
+    if not 0.0 < total < math.inf:  # NaN too, before the count loops
+        raise InvalidArgumentError(f"curve pieces must total a positive finite length, got {total}")
     counts = np.maximum(1, np.floor(samples * lengths / total).astype(int))
     while counts.sum() < samples:
         counts[int(np.argmax(lengths / counts))] += 1
     while counts.sum() > samples:
         counts[int(np.argmax(counts))] -= 1
-    chunks = []
-    for (length, fn), c in zip(pieces, counts):
-        s = np.arange(c, dtype=float) / c
-        chunks.append(fn(s))
-    return np.vstack(chunks)
+    return np.vstack([fn(np.arange(c, dtype=float) / c) for (_, fn), c in zip(pieces, counts)])
 
 
 def _gen_corner_wedge(samples, leg=1.0):
@@ -658,7 +656,8 @@ def make_curve(generator, samples=4096, **params):
             )
         if not isinstance(params[key], str):  # a string is left to its generator to read
             _whole(f"generator parameter {key}", params[key])
-    pts = fn(samples, **params)
+    with np.errstate(all="ignore"):  # Curve() refuses what an overflow or NaN leaves behind
+        pts = fn(samples, **params)
     return Curve(pts)
 
 

@@ -48,6 +48,9 @@ def shape_from_angles(angle_o, angle_p, angle_q):
         ap, aq = aq, ap
         r = math.sin(ap) / math.sin(aq)
     r_prime = math.sin(ao) / math.sin(aq)
+    # Sides 1, r and r_prime: rounding breaks the inequality for an angle near pi.
+    if not (r < 1.0 + r_prime and r_prime < 1.0 + r):
+        raise InvalidArgumentError("side ratios break the strict triangle inequality")
     return TriangleShape(ao, ap, aq, r, r_prime, vertex_angle=ao)
 
 

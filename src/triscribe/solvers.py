@@ -48,7 +48,6 @@ _MONOTONE_PROBES = 32  # probe points of the strong-monotone check
 _MONOTONE_GRID = 256  # window parameters at which each probe's dot product is compared
 RATIO_SAMPLES = 1024  # points per ratio path of a loop winding
 PROBE_SAMPLES = 2048  # points of the ratio path probed for the third vertex's seed
-DISTANCE_SAMPLES = 2048  # parameters of the scan of _param_at_distance
 SINGULAR_TOL = 1e-9  # projected distance to (1, 0) at which the curve touches the sphere
 DEDUPE_TOL = 1e-4  # parameter distance under which two found triangles are one
 HANDOFF_WIDTH = 1e-6  # bracket width at which bisection stops and Newton takes over (see README)
@@ -277,7 +276,7 @@ def _spheres(curve, ts, shape):
     alpha = (r1 * r1 - r2 * r2 + dist * dist) / (2.0 * dist * dist)
     rad_sq = r1 * r1 - alpha * alpha * dist * dist
     if (rad_sq <= 0.0).any():
-        # Cannot occur for a shape built from strictly interior angles.
+        # Cancellation, as at --angles 1e-7,90,89.9999999, can round rad_sq to 0.
         raise InfeasibleShapeError("side ratios admit no third vertex off the o-p line")
     return base + alpha[:, None] * d, np.sqrt(rad_sq), d / dist[:, None], live
 
@@ -611,50 +610,49 @@ def _sphere_windings(curve, ts, shape):
 
 
 def _param_at_distance(curve, target, lo, hi):
-    """First parameter between lo and hi (both in [0, 1], scanned from lo)
-    where the distance to the base point crosses ``target``.
+    """First parameter from lo toward hi (both in [0, 1]; the curve lies
+    below the target at lo) where the distance to the base point reaches
+    ``target``.
 
-    A scan of ``DISTANCE_SAMPLES`` parameters finds the first one at or beyond the
-    target.  Between it and the sample before, each piece of the polyline is
-    straight, so |gamma(t) - o|^2 = target^2 is a quadratic in t on it; the
-    answer is the first root, in scan order, on the first piece that has one.
+    The distance is convex along a segment, so the crossing is a root of a
+    quadratic in t on the segment that ends at the first window vertex, in
+    scan order, at or beyond the target, or else on the piece that ends at
+    hi.  ``Curve._least`` finds that vertex: a vertex's value is its index
+    (negated scanning backward) and a block's floor that of its first window
+    vertex, each inf unless it (its box's far bound) reaches the target.
     """
-    base = curve.origin
-    ts = lo + (hi - lo) * np.arange(1, DISTANCE_SAMPLES + 1) / DISTANCE_SAMPLES
-    d = row_norms(curve.eval_many(ts) - base)
-    above = np.nonzero(d >= target)[0]
-    if above.size == 0:
+    params, base = curve.params, curve.origin
+    # Window vertices first ... stop - 1; ``after`` follows them in scan order.
+    first = int(np.searchsorted(params, min(lo, hi), "right"))
+    stop = int(np.searchsorted(params, max(lo, hi), "left"))
+    sign, after = (1, stop) if lo < hi else (-1, first - 1)
+    starts = np.arange(0, curve.n_vertices, BLOCK_SIZE)
+    lead = np.maximum(starts, first) if sign > 0 else 1 - np.minimum(starts + BLOCK_SIZE, stop)
+    floor = np.where(curve._box_distances(base[:, None])[1] >= target, lead, math.inf)
+
+    def values(_, j):
+        hit = (j >= first) & (j < stop) & (row_norms(curve.points[j] - base) >= target)
+        return np.where(hit, sign * j, math.inf)
+
+    _, (k,) = curve._least(floor, values, [sign * after])
+    prev = (after if k < 0 else k) - sign
+    t_from = float(params[prev]) if first <= prev < stop else lo
+    t_to = float(params[k]) if k >= 0 else hi
+    a, b = curve.eval_many([t_from, t_to])
+    if k < 0 and row_norms(b - base) < target:
         raise DegenerateConfigurationError("curve never reaches the target distance in the window")
-    k = int(above[0])
-    t_from = lo if k == 0 else ts[k - 1]
-    t_to = float(ts[k])
-    # The vertex parameters strictly between the two samples cut the bracket
-    # into straight pieces.
-    params = curve.params
-    u0, u1 = sorted((t_from, t_to))
-    cuts = params[np.searchsorted(params, u0, "right"):np.searchsorted(params, u1, "left")]
-    ends = np.concatenate(([t_from], cuts if t_from < t_to else cuts[::-1], [t_to]))
-    # On the piece from a = gamma(ends[i]) to b = gamma(ends[i + 1]):
     # |a - o + tau (b - a)|^2 - target^2 = qa tau^2 + 2 qb tau + qc, in lengths
     # scaled by the power of two that brings target into [0.5, 1): exact, so
     # tau keeps its bits, and the squares stay finite on a huge curve.
-    start = curve.eval_many(ends[:-1]) - base
-    step = curve.eval_many(ends[1:]) - start - base
-    scale = -math.frexp(target)[1]
-    start, step, target = np.ldexp(start, scale), np.ldexp(step, scale), math.ldexp(target, scale)
-    qa = (step * step).sum(axis=1)
-    qb = (start * step).sum(axis=1)
-    qc = (start * start).sum(axis=1) - target * target
+    target, scale = math.frexp(target)
+    start, step = np.ldexp(a - base, -scale), np.ldexp(b - (a - base) - base, -scale)
+    qa, qb, qc = (step * step).sum(), (start * step).sum(), (start * start).sum() - target * target
     # Below the target at tau = 0 (qc < 0), the crossing is the larger root,
-    # taken in the form that does not cancel.
-    root = np.sqrt(np.maximum(qb * qb - qa * qc, 0.0))
+    # taken in the form that does not cancel; rounding may put it past 1.
+    root = np.sqrt(max(qb * qb - qa * qc, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        tau = np.where(qc >= 0.0, 0.0, np.where(qb > 0.0, -qc / (qb + root), (root - qb) / qa))
-    hit = np.flatnonzero(tau <= 1.0)
-    if hit.size == 0:
-        return float(np.mod(t_to, 1.0))  # rounding: the sample itself is at the target
-    i = int(hit[0])
-    return float(np.mod(ends[i] + tau[i] * (ends[i + 1] - ends[i]), 1.0))
+        tau = 0.0 if qc >= 0.0 else -qc / (qb + root) if qb > 0.0 else (root - qb) / qa
+    return float(np.mod(t_from + min(tau, 1.0) * (t_to - t_from), 1.0))
 
 
 def near_base_param(curve, shape, epsilon):
@@ -667,8 +665,7 @@ def near_base_param(curve, shape, epsilon):
     if not 0.0 < epsilon < 0.5:
         raise InvalidArgumentError("epsilon must lie in (0, 0.5)")
     clear = 0.5 * curve.min_distance_excluding(curve.origin, (1.0 - epsilon, epsilon))
-    target = clear / shape.ratio_oq
-    return _param_at_distance(curve, target, 0.0, epsilon)
+    return _param_at_distance(curve, clear / shape.ratio_oq, 0.0, epsilon)
 
 
 # -- similar-triangle solver ---------------------------------------------------

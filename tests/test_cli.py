@@ -195,6 +195,18 @@ class TestErrorPaths:
         assert code == EXIT_ERROR
         assert "vertex angles must lie strictly inside (0, pi)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("angles", ["179.9999999,0.00000005,0.00000005",
+                                        "0.00000005,179.9999999,0.00000005"])
+    def test_angles_breaking_the_triangle_inequality(self, capsys, monkeypatch, angles):
+        """An angle within 1e-7 of 180 degrees gives side ratios that round
+        past the triangle inequality: refused as the other bad angles are,
+        with one line, before the curve is rebased or solved."""
+        monkeypatch.setattr(Curve, "with_base_param", lambda *_: pytest.fail("curve rebased"))
+        code = run(["solve-similar", "--curve", "gen:circle,samples=256", "--angles", angles])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR and captured.out == ""
+        assert captured.err == "error: side ratios break the strict triangle inequality\n"
+
     def test_unreadable_file(self, capsys):
         code = run(["solve-similar", "--curve", "/no/such/file.json", "--angles", "60,60,60"])
         assert code == EXIT_NO_INPUT
@@ -267,6 +279,20 @@ class TestErrorPaths:
             ("gen:circle,foo=abc", "unknown parameter(s) foo"),
             ("gen:nosuch,a=abc", "unknown generator 'nosuch'"),
             ("gen:nosuch,samples=16.9", "unknown generator 'nosuch'"),
+            # Values that leave no usable curve: one line, and no numpy
+            # warning before it (the suite turns RuntimeWarning into an
+            # error); a NaN length is refused before the chain's count loop.
+            ("gen:corner_wedge,leg=0", "pieces must total a positive finite length, got 0.0"),
+            ("gen:corner_wedge,leg=nan", "pieces must total a positive finite length, got nan"),
+            ("gen:corner_wedge,leg=nan,samples=4194304", "positive finite length, got nan"),
+            ("gen:corner_wedge,leg=inf", "pieces must total a positive finite length, got inf"),
+            ("gen:corner_wedge,leg=1e308", "pieces must total a positive finite length, got inf"),
+            ("gen:corner_wedge,leg=-1", "pieces must total a positive finite length, got -"),
+            ("gen:u_turn,leg=inf", "pieces must total a positive finite length, got nan"),
+            ("gen:u_turn,leg=-1", "pieces must total a positive finite length, got -"),
+            ("gen:u_turn,half_angle_deg=nan", "pieces must total a positive finite length"),
+            ("gen:circle,radius=inf", "vertex coordinates must be finite"),
+            ("gen:fourier,amp=inf", "vertex coordinates must be finite"),
         ],
     )
     def test_unknown_generator_parameter(self, capsys, spec, word):

@@ -97,24 +97,19 @@ def test_farthest_param_is_the_first_vertex_argmax(drawn, base_kind):
     assert curve.farthest_param(base) == float(curve.params[int(np.argmax(dist))])
 
 
-def first_crossing_by_bisection(curve, target, lo, hi, samples=2048):
-    """The scan of ``_param_at_distance``, then 80 bisection steps on the
-    first straight piece between the two samples whose far end reaches the
-    target: the distance is convex along a piece, so from below the target
-    it crosses once there."""
+def first_crossing_by_bisection(curve, target, lo, hi):
+    """80 bisection steps on the first piece, in scan order from lo, whose
+    far end reaches the target: every vertex strictly inside the window is
+    tried in turn, then hi.  The distance is convex along a piece, so from
+    below the target it crosses once there."""
     base = curve.origin
 
     def dist(t):
         return float(np.linalg.norm(curve.eval(t) - base))
 
-    ts = lo + (hi - lo) * np.arange(1, samples + 1) / samples
-    k = next(i for i, t in enumerate(ts) if dist(t) >= target)
-    t_from, t_to = (lo if k == 0 else ts[k - 1]), ts[k]
-    cuts = [p for p in curve.params if min(t_from, t_to) < p < max(t_from, t_to)]
-    pieces = [t_from, *sorted(cuts, reverse=bool(t_to < t_from)), t_to]
-    below, above = next((a, b) for a, b in zip(pieces, pieces[1:]) if dist(b) >= target)
-    if dist(below) >= target:
-        return float(np.mod(below, 1.0))
+    inside = [float(p) for p in curve.params if min(lo, hi) < p < max(lo, hi)]
+    ends = [lo, *(inside if lo < hi else inside[::-1]), hi]
+    below, above = next((a, b) for a, b in zip(ends, ends[1:]) if dist(b) >= target)
     for _ in range(80):
         mid = 0.5 * (below + above)
         if dist(mid) >= target:
@@ -143,6 +138,32 @@ def test_param_at_distance_matches_bisection(drawn, backward, width, fraction):
     want = first_crossing_by_bisection(curve, target, lo, hi)
     gap = abs(got - want) % 1.0
     assert min(gap, 1.0 - gap) <= 1e-12
+
+
+SPIKE_M = 65536
+
+
+@pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+@pytest.mark.parametrize("j", range(9000, 9799, 114))
+def test_param_at_distance_finds_a_one_vertex_spike(j, backward):
+    """On a fine circle, one vertex, j steps into the (0, 0.2) window (or j
+    steps back into the (1, 0.8) window), is pushed out from the base to
+    1 + 1e-9 times the target.  The distance then reaches the target on its two segments alone,
+    well before the circle's own crossing near t = 0.17, and between two
+    samples of a 2048-sample scan of the window: the crossing is on the
+    segment that ends at that vertex."""
+    th = 2.0 * math.pi * np.arange(SPIKE_M) / SPIKE_M
+    pts = np.column_stack([np.cos(th), np.sin(th)])
+    target = float(np.linalg.norm(pts[int(0.17 * SPIKE_M)] - pts[0]))
+    k = SPIKE_M - j if backward else j
+    out = pts[k] - pts[0]
+    pts[k] = pts[0] + target * (1.0 + 1e-9) * out / np.linalg.norm(out)
+    curve = Curve(pts)
+    lo, hi = (1.0, 0.8) if backward else (0.0, 0.2)
+    got = _param_at_distance(curve, target, lo, hi)
+    ends = (k, k + 1) if backward else (k - 1, k)
+    assert curve.params[ends[0]] <= got <= curve.params[ends[1]]
+    assert abs(got - first_crossing_by_bisection(curve, target, lo, hi)) <= 1e-12
 
 
 def sphere_distance(x, sphere):

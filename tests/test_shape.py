@@ -44,6 +44,14 @@ class TestShapeFromAngles:
         with pytest.raises(InvalidArgumentError):
             shape_from_angles(0.0, math.pi / 2, math.pi / 2)
 
+    @pytest.mark.parametrize("degrees", [(179.9999999, 5e-8, 5e-8), (5e-8, 179.9999999, 5e-8),
+                                         (5e-8, 5e-8, 179.9999999)])
+    def test_rejects_ratios_past_the_triangle_inequality(self, degrees):
+        """The angles pass both checks, but the sines round so that one side
+        ratio is at least the sum of the other two sides."""
+        with pytest.raises(InvalidArgumentError, match="strict triangle inequality"):
+            shape_from_degrees(*degrees)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("slot", [0, 1, 2])
     def test_rejects_non_finite_angle(self, bad, slot):

@@ -336,7 +336,7 @@ def build_parser():
     p.add_argument("--epsilon", type=_window, help="window half-width (default: ladder)")
     p.set_defaults(fn=_check_monotone)
 
-    p = sub.add_parser("sweep", help="run the invariant sweep without refinement")
+    p = sub.add_parser("sweep", help="run the invariant sweep; report its bracket and seeds")
     common(p, angles=True)
     p.add_argument("--grid", type=_at_least(2), help="sweep grid size (default 256)")
     p.set_defaults(fn=_sweep)

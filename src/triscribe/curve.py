@@ -56,6 +56,13 @@ def point_segment_distances(x, a, b):
     return row_norms(a + s[:, None] * ab - x)
 
 
+def _padded(n, m):
+    """An uninitialised (n, w) array for the columns of m vertices in R^n,
+    w the columns of whole blocks of ``BLOCK_SIZE`` segments plus one, as
+    ``Curve.block_vertices`` reads them."""
+    return np.empty((n, -(-m // BLOCK_SIZE) * BLOCK_SIZE + 1))
+
+
 def _segment_lengths(columns):
     """Length of each segment of the closed polyline with vertex columns
     ``columns`` (n, m), the closing segment last.  The squares are summed
@@ -85,12 +92,14 @@ class Curve:
             raise InvalidArgumentError(f"ambient dimension must be >= 2, got {n}")
         if not np.all(np.isfinite(pts)):
             raise InvalidArgumentError("vertex coordinates must be finite")
-        cols = np.array(pts.T, order="C")
-        self._build(cols, _segment_lengths(cols))
+        padded = _padded(n, m)
+        padded[:, :m] = pts.T
+        self._build(padded, _segment_lengths(padded[:, :m]))
 
-    def _build(self, cols, seg_len):
-        """Set the curve up from its vertex columns and segment lengths (the
-        closing segment last)."""
+    def _build(self, padded, seg_len):
+        """Set the curve up from its segment lengths (the closing segment
+        last) and a ``_padded`` array whose first m columns hold the
+        vertices; its pad columns are set here."""
         if np.any(seg_len == 0.0):
             raise InvalidArgumentError("consecutive vertices must be distinct")
         cum = np.concatenate(([0.0], np.cumsum(seg_len)))
@@ -99,10 +108,17 @@ class Curve:
             raise InvalidArgumentError("curve length overflows a float")
         params = cum / total
         params[-1] = 1.0
-        for array in (cols, seg_len, params):
+        m = seg_len.size
+        padded[:, m:] = padded[:, :1]
+        for array in (padded, seg_len, params):
             array.setflags(write=False)
-        self._columns = cols
-        self._points = cols.T  # a view: the vertices are held once
+        # Views: the vertices are held once.
+        self._columns = padded[:, :m]
+        self._points = self._columns.T
+        step = padded.strides[1]
+        self._block_vertices = np.lib.stride_tricks.as_strided(
+            padded, (padded.shape[0], (padded.shape[1] - 1) // BLOCK_SIZE, BLOCK_SIZE + 1),
+            (padded.strides[0], BLOCK_SIZE * step, step), writeable=False)
         self._seg_len = seg_len
         self._params = params  # length m + 1, last entry exactly 1
         self._total_length = total
@@ -159,7 +175,8 @@ class Curve:
 
     @property
     def columns(self):
-        """The vertices as an (n, m) array, one contiguous row per axis;
+        """The vertices as an (n, m) array, one contiguous row per axis: the
+        first m columns of the padded array that ``block_vertices`` views.
         ``points`` is its transpose, a view.
 
         Per-vertex reductions over the coordinates (segment lengths, the
@@ -167,6 +184,15 @@ class Curve:
         several times faster on this layout than on an (m, n) one.
         """
         return self._columns
+
+    @property
+    def block_vertices(self):
+        """The vertices of each block of ``blocks`` as rows: an (n, k,
+        ``BLOCK_SIZE`` + 1) view of the vertex columns, whose entry (i, b, s)
+        is coordinate i of vertex b B + s, a vertex past the last (the end of
+        the closing segment and the padding of a short last block) read as
+        vertex 0.  A block's vertices are then one contiguous row an axis."""
+        return self._block_vertices
 
     @property
     def blocks(self):
@@ -280,15 +306,20 @@ class Curve:
         # parameter; its lengths are those Curve() would take.
         cols, seg_len = self._columns, self._seg_len
         if u == self._params[k]:
-            cols = np.concatenate([cols[:, k:], cols[:, :k]], axis=1)
+            padded = _padded(self.dimension, m)
+            padded[:, :m - k] = cols[:, k:]
+            padded[:, m - k:m] = cols[:, :k]
             seg_len = np.concatenate([seg_len[k:], seg_len[:k]])
         else:
             new_point = self.eval(u)
             halves = _segment_lengths(np.column_stack([cols[:, k], new_point, cols[:, (k + 1) % m]]))
-            cols = np.concatenate([new_point[:, None], cols[:, k + 1:], cols[:, : k + 1]], axis=1)
+            padded = _padded(self.dimension, m + 1)
+            padded[:, 0] = new_point
+            padded[:, 1:m - k] = cols[:, k + 1:]
+            padded[:, m - k:m + 1] = cols[:, :k + 1]
             seg_len = np.concatenate([halves[1:2], seg_len[k + 1:], seg_len[:k], halves[:1]])
         curve = Curve.__new__(Curve)
-        curve._build(cols, seg_len)
+        curve._build(padded, seg_len)
         return curve
 
     # -- distance queries ------------------------------------------------
@@ -453,10 +484,19 @@ def _angles(samples):
     return 2.0 * math.pi * np.arange(samples, dtype=float) / samples
 
 
+def _positive(name, value):
+    """``value`` as a float, refused unless positive and finite."""
+    value = float(value)
+    if not 0.0 < value < math.inf:  # NaN too
+        raise InvalidArgumentError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
 def _gen_circle(samples, radius=1.0, center=(0.0, 0.0)):
+    radius = _positive("radius", radius)
     th = _angles(samples)
     c = np.asarray(center, dtype=float)
-    return np.column_stack([np.cos(th), np.sin(th)]) * float(radius) + c
+    return np.column_stack([np.cos(th), np.sin(th)]) * radius + c
 
 
 def _gen_ellipse(samples, a=2.0, b=1.0):
@@ -468,6 +508,7 @@ def _gen_tilted_circle_nd(samples, n=3, radius=1.0):
     n = int(n)
     if n < 3:
         raise InvalidArgumentError("tilted_circle_nd needs ambient dimension >= 3")
+    radius = _positive("radius", radius)
     u1 = np.zeros(n)
     u1[0], u1[1] = 1.0, -1.0
     u1 /= np.linalg.norm(u1)
@@ -475,7 +516,7 @@ def _gen_tilted_circle_nd(samples, n=3, radius=1.0):
     u2[0], u2[1], u2[2] = 1.0, 1.0, -2.0
     u2 /= np.linalg.norm(u2)
     th = _angles(samples)
-    return float(radius) * (np.outer(np.cos(th), u1) + np.outer(np.sin(th), u2))
+    return radius * (np.outer(np.cos(th), u1) + np.outer(np.sin(th), u2))
 
 
 def _gen_trefoil(samples):
@@ -488,8 +529,9 @@ def _gen_polygon(samples, sides=4, radius=1.0):
     sides = int(sides)
     if sides < 3:
         raise InvalidArgumentError("polygon needs at least 3 sides")
+    radius = _positive("radius", radius)
     th = _angles(sides)
-    corners = np.column_stack([np.cos(th), np.sin(th)]) * float(radius)
+    corners = np.column_stack([np.cos(th), np.sin(th)]) * radius
     return _resample_closed_polyline(corners, samples)
 
 
@@ -547,9 +589,13 @@ def _gen_u_turn(samples, half_angle_deg=10.0, leg=1.0):
 
     The chord direction reverses no component across the base, so the chord
     dot products dip to zero at the base and rise again on both sides; no
-    window around the base is monotone.
+    window around the base is monotone.  At a half angle of 0 or 180 degrees
+    and beyond, the legs overlap or cross, so the curve is not simple.
     """
-    alpha = math.radians(float(half_angle_deg))
+    half_angle_deg = float(half_angle_deg)
+    if not 0.0 < half_angle_deg < 180.0:  # NaN too
+        raise InvalidArgumentError(f"half_angle_deg must lie in (0, 180), got {half_angle_deg}")
+    alpha = math.radians(half_angle_deg)
     leg = float(leg)
     a_out = leg * np.array([math.sin(alpha), math.cos(alpha)])
     a_in = leg * np.array([-math.sin(alpha), math.cos(alpha)])

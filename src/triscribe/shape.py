@@ -51,6 +51,11 @@ def shape_from_angles(angle_o, angle_p, angle_q):
     # Sides 1, r and r_prime: rounding breaks the inequality for an angle near pi.
     if not (r < 1.0 + r_prime and r_prime < 1.0 + r):
         raise InvalidArgumentError("side ratios break the strict triangle inequality")
+    # The squared radius of the solvers' sphere of third vertices at unit
+    # |p - o|; cancellation can round it to 0, as at angles 1e-7, 90, 89.9999999 degrees.
+    alpha = (r * r - r_prime * r_prime + 1.0) / 2.0
+    if not r * r - alpha * alpha > 0.0:
+        raise InvalidArgumentError("side ratios admit no third vertex off the o-p line")
     return TriangleShape(ao, ap, aq, r, r_prime, vertex_angle=ao)
 
 

@@ -6,9 +6,11 @@ Two algorithms:
   integer invariant, the winding number of the projected re-framed curve
   around (1, 0).  The invariant is 0 when the swept point is farthest from the
   base and nonzero when the sphere has shrunk inside the base point's clear
-  ball, so it must change somewhere in between; bisection brackets the change,
-  which certifies a sphere/curve crossing, and damped Newton polishes the
-  crossing into an inscribed triangle.
+  ball, so it must change somewhere in between.  Damped Newton from the
+  middle of each change finds an inscribed triangle, and a bracket of
+  different windings around it certifies the sphere/curve crossing; where
+  that check fails, bisection brackets the change and Newton polishes the
+  crossing from there.
 
 * ``solve_equilateral`` anchors one vertex at the base point and tracks ratio
   paths: the planar curves of normalized side ratios.  The closed loop built
@@ -50,7 +52,7 @@ RATIO_SAMPLES = 1024  # points per ratio path of a loop winding
 PROBE_SAMPLES = 2048  # points of the ratio path probed for the third vertex's seed
 SINGULAR_TOL = 1e-9  # projected distance to (1, 0) at which the curve touches the sphere
 DEDUPE_TOL = 1e-4  # parameter distance under which two found triangles are one
-HANDOFF_WIDTH = 1e-6  # bracket width at which bisection stops and Newton takes over (see README)
+HANDOFF_WIDTH = 1e-6  # width of a certified bracket: where bisection stops, and Newton's check (see README)
 BISECT_DEPTH = 3  # levels of bisection midpoints per kernel call (measured; see README)
 MAX_NEWTON_ITERS = 100
 _JACOBIAN_STEP = 1e-7  # relative step of the central-difference Jacobian
@@ -276,22 +278,32 @@ def _spheres(curve, ts, shape):
     alpha = (r1 * r1 - r2 * r2 + dist * dist) / (2.0 * dist * dist)
     rad_sq = r1 * r1 - alpha * alpha * dist * dist
     if (rad_sq <= 0.0).any():
-        # Cancellation, as at --angles 1e-7,90,89.9999999, can round rad_sq to 0.
+        # shape_from_angles refuses a shape whose rad_sq cancels to 0 at unit
+        # distance, as at --angles 1e-7,90,89.9999999; at another distance
+        # rounding could still do so.
         raise InfeasibleShapeError("side ratios admit no third vertex off the o-p line")
     return base + alpha[:, None] * d, np.sqrt(rad_sq), d / dist[:, None], live
 
 
-def _touch_params(curve, ts, shape):
+def _live_touch_params(curve, ts, shape):
     """Touch parameters of the candidate spheres at sweep parameters ``ts``
-    (a list), all from one pass of ``_nearest_params``.  Each sphere is a
-    row of ``_spheres``, so a touch parameter (a refinement seed) has the
-    same bits whichever nodes share its pass."""
+    (a list), all from one pass of ``_nearest_params``, and None at a node
+    whose swept point coincides with the base (it has no sphere).  Each
+    sphere is a row of ``_spheres``, so a touch parameter (a refinement
+    seed) has the same bits whichever nodes share its pass."""
     if not ts:
         return []
     center, radius, normal, live = _spheres(curve, ts, shape)
-    if not live.all():
+    touch = iter(_nearest_params(curve, center.T, radius, normal.T).tolist() if live.any() else [])
+    return [next(touch) if ok else None for ok in live.tolist()]
+
+
+def _touch_params(curve, ts, shape):
+    """``_live_touch_params``, refusing a node without a sphere."""
+    touch = _live_touch_params(curve, ts, shape)
+    if None in touch:
         raise DegenerateConfigurationError("sphere requires p distinct from o")
-    return _nearest_params(curve, center.T, radius, normal.T).tolist()
+    return touch
 
 
 def _cylinder_coords(columns, center, normal):
@@ -410,17 +422,16 @@ def _candidate_pairs(curve, center, radius, normal, thr):
     for level in range(top - 1, -1, -1):
         nodes, blocks = _surviving_children(tree[level], normal, offset, reach[level],
                                             nodes, blocks, scan)
-    span = np.arange(BLOCK_SIZE + 1)
-    per_slice = max(1, scan // span.size)
+    rows = curve.block_vertices
+    per_slice = max(1, scan // rows.shape[2])
     queue_node, queue_seg, queued = [], [], 0
     for s0 in range(0, nodes.size, per_slice):
         g = nodes[s0:s0 + per_slice]
         b = blocks[s0:s0 + per_slice]
-        # Vertex m, and the padding of a short last block, is vertex 0.
-        vertex = np.minimum(b[:, None] * BLOCK_SIZE + span, m) % m
-        h = normal[g, 0, None] * columns[0][vertex]
-        for i in range(1, columns.shape[0]):
-            h += normal[g, i, None] * columns[i][vertex]
+        # Each block's vertices as one row an axis, vertex m and the padding read as vertex 0.
+        h = normal[g, 0, None] * rows[0][b]
+        for i in range(1, rows.shape[0]):
+            h += normal[g, i, None] * rows[i][b]
         above = h > high[g, None]
         below = h < low[g, None]
         # A segment cannot lie wholly above and wholly below, so "==" means neither.
@@ -599,13 +610,14 @@ def _sphere_windings(curve, ts, shape):
     ts = np.asarray(ts, dtype=float)
     winding, singular, live = _node_windings(curve, ts, shape)
     touch = iter(_touch_params(curve, ts[live & singular].tolist(), shape))
-    samples = [None] * ts.size
-    for g in np.flatnonzero(live).tolist():
-        t = float(ts[g])
-        if singular[g]:
-            samples[g] = WindingSample(t=t, winding=None, singular=True, touch_param=next(touch))
+    samples = []
+    for t, w, sing, ok in zip(ts.tolist(), winding.tolist(), singular.tolist(), live.tolist()):
+        if not ok:
+            samples.append(None)
+        elif sing:
+            samples.append(WindingSample(t, None, True, next(touch)))
         else:
-            samples[g] = WindingSample(t=t, winding=int(winding[g]), singular=False)
+            samples.append(WindingSample(t, w, False))
     return samples
 
 
@@ -692,7 +704,12 @@ class InscribedTriangle:
 class SweepResult:
     """The sweep grid and what was found on it.  ``dropped`` holds the grid
     parameters whose swept point coincides with the base point, where the
-    candidate sphere is undefined; they are left out of ``grid``."""
+    candidate sphere is undefined; they are left out of ``grid``.  ``seeds``
+    are Newton's starting points, and ``refined`` holds, for each seed in
+    order, the triangle Newton reached from it in the sweep, where the sweep
+    accepted that triangle, and None where Newton is still to run from it.
+    ``bracket`` is the certified bracket of the first grid change that has
+    one."""
 
     grid: list
     bracket: tuple | None
@@ -701,6 +718,7 @@ class SweepResult:
     t_near: float
     epsilon: float
     dropped: list
+    refined: list
 
 
 def _bisect(kernel, lo, hi, w_lo, width, depth):
@@ -746,12 +764,73 @@ def _bisect(kernel, lo, hi, w_lo, width, depth):
     return lo, hi
 
 
-def sweep_similar(curve, shape, grid_size=256, epsilon=FALLBACK_EPSILON):
+def _refined(curve, shape, seed, residual_tol):
+    """``refine_similar``'s triangle from ``seed``, or the RefineFailedError it raised."""
+    try:
+        return refine_similar(curve, shape, *seed, residual_tol)
+    except RefineFailedError as exc:
+        return exc
+
+
+def _newton_from_grid(curve, shape, changes, residual_tol):
+    """Newton from the midpoint of each grid change, certified: for each
+    change (a, b) (winding samples, neither singular, windings different),
+    ``(bracket, seed, triangle)`` when Newton's triangle is accepted, else
+    None.
+
+    Newton starts at the change's midpoint and its touch parameter, one
+    touch pass for all changes.  Its triangle is accepted when it meets
+    ``residual_tol`` with t_p inside (a, b), when a bracket around t_p at
+    most ``HANDOFF_WIDTH`` wide (from t_p - ``HANDOFF_WIDTH`` / 2) has live,
+    non-singular ends of different windings, one kernel call for all
+    changes, and when the touch parameter at t_p lies within 1e-6 of its t_q
+    (mod 1), one more touch pass.  The bracket then certifies a crossing
+    next to t_p, and the touch test that t_q is where the sphere at t_p
+    meets the curve.
+    """
+    mids = [0.5 * (a.t + b.t) for a, b in changes]
+    tried = []
+    for i, (mid, s) in enumerate(zip(mids, _live_touch_params(curve, mids, shape))):
+        if s is None:
+            continue  # no sphere at the midpoint: ``_bisect`` stops there too
+        tri = _refined(curve, shape, (mid, s), residual_tol)
+        a, b = changes[i]
+        if isinstance(tri, InscribedTriangle) and a.t < tri.t_p < b.t:
+            tried.append((i, (mid, s), tri))
+    accepted = [None] * len(changes)
+    if not tried:
+        return accepted
+    t_p = np.array([tri.t_p for _, _, tri in tried])
+    lo = t_p - 0.5 * HANDOFF_WIDTH
+    hi = lo + HANDOFF_WIDTH
+    # One step down where rounding left the bracket wider than the width.
+    ends = np.stack((lo, np.where(hi - lo > HANDOFF_WIDTH, np.nextafter(hi, lo), hi)), axis=1)
+    winding, singular, live = (v.reshape(-1, 2) for v in _node_windings(curve, ends.ravel(), shape))
+    certified = live.all(axis=1) & ~singular.any(axis=1) & (winding[:, 0] != winding[:, 1])
+    kept = np.flatnonzero(certified).tolist()
+    touch = _live_touch_params(curve, t_p[kept].tolist(), shape)
+    for k, s in zip(kept, touch):
+        if s is None:
+            continue
+        i, seed, tri = tried[k]
+        gap = abs(s - tri.t_q) % 1.0
+        if min(gap, 1.0 - gap) <= 1e-6:
+            accepted[i] = (tuple(ends[k].tolist()), seed, tri)
+    return accepted
+
+
+def sweep_similar(curve, shape, grid_size=256, epsilon=FALLBACK_EPSILON, residual_tol=1e-9):
     """Evaluate the invariant on a grid from the near-base parameter to the
     farthest parameter, all nodes in one call of the winding kernel, and
-    bisect every change to a certified bracket ``HANDOFF_WIDTH`` wide, or to
-    a singular midpoint.  Each bracket's midpoint and its touch parameter
-    seed Newton once."""
+    certify every change.
+
+    Newton runs from each change's midpoint (``_newton_from_grid``), at
+    ``residual_tol``.  Where its triangle is not certified, the change is
+    bisected to a certified bracket ``HANDOFF_WIDTH`` wide, or to a
+    singular midpoint, and the bracket's midpoint and its touch parameter
+    are a seed for Newton, as is each singular grid node.
+    """
+    _check_residual_tol(residual_tol)
     if grid_size < 2:
         raise InvalidArgumentError("grid size must be at least 2")
     eps = float(epsilon)
@@ -773,24 +852,28 @@ def sweep_similar(curve, shape, grid_size=256, epsilon=FALLBACK_EPSILON):
             "grid too coarse to certify a bracket; increase the grid size", grid=grid
         )
     seeds = [(s.t, s.touch_param) for s in grid if s.singular]
-    bracket = None
+    refined = [None] * len(seeds)
+    changes = [(a, b) for a, b in zip(grid[:-1], grid[1:])
+               if not (a.singular or b.singular or a.winding == b.winding)]
+    accepted = _newton_from_grid(curve, shape, changes, residual_tol)
     kernel = partial(_node_windings, curve, shape=shape)
-    seed_ts = []
-    for a, b in zip(grid[:-1], grid[1:]):
-        if a.singular or b.singular or a.winding == b.winding:
-            continue
-        found = _bisect(kernel, a.t, b.t, a.winding, HANDOFF_WIDTH, BISECT_DEPTH)
-        if found is None:
-            # A midpoint's swept point is back at the base: there is no sphere
-            # there, so the bisection cannot go on and certifies nothing.
-            continue
-        if bracket is None:
-            bracket = found
-        # The seed is the bracket's midpoint, where the singular midpoint is
-        # when one stopped the bisection.
-        lo, hi = found
-        seed_ts.append(0.5 * (lo + hi))
-    seeds += zip(seed_ts, _touch_params(curve, seed_ts, shape))
+    # A bisection that meets a midpoint whose swept point is back at the base
+    # has no sphere there, so it cannot go on and certifies nothing (None).
+    found = [done[0] if done else _bisect(kernel, a.t, b.t, a.winding, HANDOFF_WIDTH, BISECT_DEPTH)
+             for done, (a, b) in zip(accepted, changes)]
+    # A bisection's seed is its bracket's midpoint, where the singular
+    # midpoint is when one stopped it.
+    fallback_ts = [0.5 * (f[0] + f[1]) for done, f in zip(accepted, found) if not done and f]
+    fallback = iter(zip(fallback_ts, _touch_params(curve, fallback_ts, shape)))
+    bracket = next((f for f in found if f is not None), None)
+    for done, f in zip(accepted, found):
+        if done:
+            _, seed, triangle = done
+            seeds.append(seed)
+            refined.append(triangle)
+        elif f is not None:
+            seeds.append(next(fallback))
+            refined.append(None)
     if not seeds:
         raise NoBracketError(
             "no invariant change found on the sweep grid; increase the grid size",
@@ -804,6 +887,7 @@ def sweep_similar(curve, shape, grid_size=256, epsilon=FALLBACK_EPSILON):
         t_near=t_near,
         epsilon=eps,
         dropped=dropped,
+        refined=refined,
     )
 
 
@@ -837,9 +921,11 @@ def refine_similar(curve, shape, t0, s0, residual_tol=1e-9):
     step is not finite.  The residuals are dimensionless side ratios, so
     ``residual_tol`` does not scale with the curve.  They are taken once at
     each point Newton visits, so a seed that already meets the stopping
-    residual costs one evaluation.  The solvers hand over from bisection at
-    a bracket ``HANDOFF_WIDTH`` wide: the bracket certifies the triangle, and
-    Newton only polishes it.
+    residual costs one evaluation.  The similar sweep runs it from the
+    midpoint of each grid change and certifies its triangle with a bracket
+    around it (``_newton_from_grid``), or else from a bisection's bracket
+    ``HANDOFF_WIDTH`` wide, as the equilateral solver does: the bracket
+    certifies the triangle, and Newton only polishes it.
     """
     _check_residual_tol(residual_tol)
     # A NaN seed would give a NaN triangle, whose residual no tolerance refuses.
@@ -961,13 +1047,15 @@ def solve_similar(curve, shape, base_param=0.0, grid_size=256, residual_tol=1e-9
     _check_residual_tol(residual_tol)
     work = curve.with_base_param(base_param)
     epsilon, hypothesis, warnings = similar_window(work, shape)
-    sweep = sweep_similar(work, shape, grid_size, epsilon=epsilon)
+    sweep = sweep_similar(work, shape, grid_size, epsilon=epsilon, residual_tol=residual_tol)
     triangles = []
-    for t0, s0 in sweep.seeds:
-        try:
-            triangles.append(refine_similar(work, shape, t0, s0, residual_tol))
-        except RefineFailedError as exc:
-            warnings.append(str(exc))
+    for seed, result in zip(sweep.seeds, sweep.refined):
+        if result is None:
+            result = _refined(work, shape, seed, residual_tol)
+        if isinstance(result, RefineFailedError):
+            warnings.append(str(result))
+        else:
+            triangles.append(result)
     return SimilarOutcome(
         triangles=_dedupe(triangles, DEDUPE_TOL),
         hypothesis=hypothesis,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -20,6 +21,8 @@ from triscribe.errors import (
     DegenerateConfigurationError,
     InfeasibleShapeError,
     InvalidArgumentError,
+    NoBracketError,
+    RefineFailedError,
     SingularPathError,
     TriscribeError,
 )
@@ -373,3 +376,44 @@ def sphere_winding(curve, t, shape):
     if sample is None:
         raise DegenerateConfigurationError("swept point coincides with the base point")
     return sample
+
+
+def bisect_then_newton(curve, shape, base_param=0.0, grid_size=256, residual_tol=1e-9):
+    """``solve_similar`` as it was before Newton started from the sweep
+    grid: every grid change bisected with ``solvers._bisect`` to a
+    ``HANDOFF_WIDTH`` bracket or a singular midpoint, and Newton run once
+    from each bracket's midpoint and from each singular grid node.  Returns
+    ``(triangles, warnings, bracket, seeds)``, or raises NoBracketError
+    where the solve does."""
+    work = curve.with_base_param(base_param)
+    epsilon, _, warnings = solvers.similar_window(work, shape)
+    t_near = solvers.near_base_param(work, shape, epsilon)
+    t_far = work.farthest_param(work.origin)
+    if t_near >= t_far:
+        raise NoBracketError("near-base parameter does not precede the farthest parameter")
+    samples = solvers._sphere_windings(work, np.linspace(t_near, t_far, grid_size), shape)
+    grid = [s for s in samples if s is not None]
+    if len(grid) < 3:
+        raise NoBracketError("grid too coarse to certify a bracket")
+    seeds = [(s.t, s.touch_param) for s in grid if s.singular]
+    kernel = partial(solvers._node_windings, work, shape=shape)
+    bracket, seed_ts = None, []
+    for a, b in zip(grid[:-1], grid[1:]):
+        if a.singular or b.singular or a.winding == b.winding:
+            continue
+        found = solvers._bisect(kernel, a.t, b.t, a.winding, solvers.HANDOFF_WIDTH,
+                                solvers.BISECT_DEPTH)
+        if found is None:
+            continue
+        bracket = bracket or found
+        seed_ts.append(0.5 * (found[0] + found[1]))
+    seeds += zip(seed_ts, solvers._touch_params(work, seed_ts, shape))
+    if not seeds:
+        raise NoBracketError("no invariant change found on the sweep grid")
+    triangles = []
+    for t0, s0 in seeds:
+        try:
+            triangles.append(solvers.refine_similar(work, shape, t0, s0, residual_tol))
+        except RefineFailedError as exc:
+            warnings.append(str(exc))
+    return solvers._dedupe(triangles, solvers.DEDUPE_TOL), warnings, bracket, seeds

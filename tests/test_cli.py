@@ -207,6 +207,17 @@ class TestErrorPaths:
         assert code == EXIT_ERROR and captured.out == ""
         assert captured.err == "error: side ratios break the strict triangle inequality\n"
 
+    @pytest.mark.parametrize("angles", ["1e-7,90,89.9999999", "1e-7,89.9999999,90"])
+    def test_angles_admitting_no_third_vertex(self, capsys, monkeypatch, angles):
+        """The side ratios obey the triangle inequality, but the squared
+        radius of the sphere of third vertices cancels to 0: refused with one
+        line, before the curve is rebased or solved."""
+        monkeypatch.setattr(Curve, "with_base_param", lambda *_: pytest.fail("curve rebased"))
+        code = run(["solve-similar", "--curve", "gen:circle,samples=256", "--angles", angles])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR and captured.out == ""
+        assert captured.err == "error: side ratios admit no third vertex off the o-p line\n"
+
     def test_unreadable_file(self, capsys):
         code = run(["solve-similar", "--curve", "/no/such/file.json", "--angles", "60,60,60"])
         assert code == EXIT_NO_INPUT
@@ -290,8 +301,16 @@ class TestErrorPaths:
             ("gen:corner_wedge,leg=-1", "pieces must total a positive finite length, got -"),
             ("gen:u_turn,leg=inf", "pieces must total a positive finite length, got nan"),
             ("gen:u_turn,leg=-1", "pieces must total a positive finite length, got -"),
-            ("gen:u_turn,half_angle_deg=nan", "pieces must total a positive finite length"),
-            ("gen:circle,radius=inf", "vertex coordinates must be finite"),
+            ("gen:u_turn,half_angle_deg=nan", "half_angle_deg must lie in (0, 180), got nan"),
+            ("gen:circle,radius=inf", "radius must be positive and finite, got inf"),
+            # Legs that lie on one segment or cross, and radii that collapse
+            # or mirror the curve.
+            ("gen:u_turn,half_angle_deg=0", "half_angle_deg must lie in (0, 180), got 0.0"),
+            ("gen:u_turn,half_angle_deg=-5", "half_angle_deg must lie in (0, 180), got -5.0"),
+            ("gen:u_turn,half_angle_deg=180", "half_angle_deg must lie in (0, 180), got 180.0"),
+            ("gen:polygon,radius=0", "radius must be positive and finite, got 0.0"),
+            ("gen:circle,radius=-1", "radius must be positive and finite, got -1.0"),
+            ("gen:tilted_circle_nd,radius=nan", "radius must be positive and finite, got nan"),
             ("gen:fourier,amp=inf", "vertex coordinates must be finite"),
         ],
     )

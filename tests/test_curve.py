@@ -81,6 +81,31 @@ def test_blocks_hold_their_segments(m):
     assert curve.blocks is curve.blocks
 
 
+@pytest.mark.parametrize("rebase", ["none", "vertex", "segment"])
+@pytest.mark.parametrize("m", [16, 63, 64, 65, 4097])
+def test_block_vertices_are_the_indexed_vertices(m, rebase):
+    """Entry (i, b, s) of ``block_vertices`` is coordinate i of vertex
+    b B + s, a vertex past the last read as vertex 0, on a built curve and
+    on curves rebased at a vertex and inside a segment; it is a read-only
+    view of the vertex columns."""
+    from triscribe.curve import BLOCK_SIZE
+
+    curve = make_curve("trefoil", samples=m)
+    if rebase == "vertex":
+        curve = curve.with_base_param(curve.params[m // 2])
+    elif rebase == "segment":
+        curve = curve.with_base_param(0.5 * (curve.params[5] + curve.params[6]))
+    count = curve.n_vertices
+    assert count == m + (rebase == "segment")
+    blocks = curve.blocks[0].shape[1]
+    rows = curve.block_vertices
+    assert rows.shape == (3, blocks, BLOCK_SIZE + 1)
+    index = np.minimum(np.arange(blocks)[:, None] * BLOCK_SIZE + np.arange(BLOCK_SIZE + 1), count)
+    assert np.array_equal(rows, curve.columns[:, index % count])
+    assert np.shares_memory(rows, curve.columns)
+    assert not rows.flags.writeable and not curve.columns.flags.writeable
+
+
 @pytest.mark.parametrize("shift", [0.0, 1e7])
 @pytest.mark.parametrize("m,sizes", [(16, [1]), (8192, [128]), (8193, [129, 17]),
                                      (20001, [313, 40])])
@@ -418,6 +443,24 @@ class TestGenerators:
         sums = curve.points.sum(axis=1)
         assert np.max(np.abs(sums)) < 1e-12  # plane x + y + z = 0
         assert np.allclose(np.linalg.norm(curve.points, axis=1), 1.0)
+
+    @pytest.mark.parametrize("name,params", [
+        ("circle", {"radius": 0.0}), ("circle", {"radius": -1.0}), ("circle", {"radius": math.inf}),
+        ("polygon", {"radius": 0.0}), ("polygon", {"radius": -2.0}),
+        ("tilted_circle_nd", {"radius": math.nan}), ("tilted_circle_nd", {"n": 4, "radius": -1.0}),
+    ])
+    def test_radius_must_be_positive_and_finite(self, name, params):
+        """A zero radius collapses the curve and a negative one mirrors it
+        through the origin: both are refused, naming the radius."""
+        with pytest.raises(InvalidArgumentError, match="radius must be positive and finite"):
+            make_curve(name, samples=64, **params)
+
+    @pytest.mark.parametrize("half_angle_deg", [0.0, -5.0, 180.0, 200.0, math.nan])
+    def test_u_turn_legs_must_not_overlap(self, half_angle_deg):
+        """At a half angle of 0 the legs lie on one segment, below it they
+        cross, and at 180 degrees they meet again: the curve is not simple."""
+        with pytest.raises(InvalidArgumentError, match=r"half_angle_deg must lie in \(0, 180\)"):
+            make_curve("u_turn", samples=64, half_angle_deg=half_angle_deg)
 
     def test_unknown_generator(self):
         with pytest.raises(InvalidArgumentError):

@@ -52,6 +52,15 @@ class TestShapeFromAngles:
         with pytest.raises(InvalidArgumentError, match="strict triangle inequality"):
             shape_from_degrees(*degrees)
 
+    @pytest.mark.parametrize("degrees", [(1e-7, 90, 89.9999999), (1e-7, 89.9999999, 90)])
+    def test_rejects_ratios_that_admit_no_third_vertex(self, degrees):
+        """The side ratios obey the strict triangle inequality, but the
+        squared radius of the sphere of third vertices at unit |p - o|,
+        ratio_oq^2 - alpha^2 with alpha = (ratio_oq^2 - ratio_pq^2 + 1) / 2,
+        cancels to 0 (it is 0.75 at 60-60-60)."""
+        with pytest.raises(InvalidArgumentError, match="no third vertex off the o-p line"):
+            shape_from_degrees(*degrees)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("slot", [0, 1, 2])
     def test_rejects_non_finite_angle(self, bad, slot):

@@ -18,6 +18,7 @@ from triscribe import (
     refine_similar,
     solve_equilateral,
     solve_similar,
+    sweep_similar,
 )
 from triscribe import solvers
 from triscribe.curve import row_norms
@@ -166,7 +167,8 @@ class TestScaleFreeAcceptance:
         lambda curve, tol: solve_similar(curve, equilateral_shape(), residual_tol=tol),
         lambda curve, tol: solve_equilateral(curve, residual_tol=tol),
         lambda curve, tol: refine_similar(curve, equilateral_shape(), 0.3, 0.6, tol),
-    ], ids=["solve_similar", "solve_equilateral", "refine_similar"])
+        lambda curve, tol: sweep_similar(curve, equilateral_shape(), residual_tol=tol),
+    ], ids=["solve_similar", "solve_equilateral", "refine_similar", "sweep_similar"])
     def test_residual_tol_must_be_positive_and_finite(self, solve, tol):
         """Refused before the curve is touched (a stand-in with no curve
         attributes shows it), and on the folded curve whose best triangle

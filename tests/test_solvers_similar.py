@@ -1,6 +1,8 @@
 import contextlib
 import math
 import tracemalloc
+from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -38,6 +40,7 @@ from conftest import (
 )
 from reference import (
     FULL_BISECT_WIDTH,
+    bisect_then_newton,
     NumericalDegeneracyError,
     PlanarPath,
     Sphere,
@@ -209,57 +212,58 @@ def test_kernel_matches_rotated_reference(name, kwargs, base, angles):
     assert_kernel_matches_reference(curve, shape_from_degrees(*angles))
 
 
-def sequential_bisection(curve, shape, grid):
-    """The one-midpoint-per-kernel-call bisection the sweep's tree replaces,
-    on the sweep's grid, to the sweep's ``HANDOFF_WIDTH``: its bracket and
-    seeds.  A singular midpoint gives the seed ``sphere_winding`` gives it;
-    a bracket that reaches the width gives its midpoint and a one-row touch
-    pass."""
-    seeds = [(s.t, s.touch_param) for s in grid if s.singular]
-    bracket = None
-    for a, b in zip(grid[:-1], grid[1:]):
-        if a.singular or b.singular or a.winding == b.winding:
-            continue
-        lo, hi = a.t, b.t
-        while hi - lo > solvers.HANDOFF_WIDTH:
-            mid = 0.5 * (lo + hi)
-            try:
-                sample = sphere_winding(curve, mid, shape)
-            except DegenerateConfigurationError:
-                seed = "base"  # no sphere there: no bracket, no seed
-                break
-            if sample.singular:
-                seed = (sample.t, sample.touch_param)
-                break
-            lo, hi = (mid, hi) if sample.winding == a.winding else (lo, mid)
-        else:
-            t0 = 0.5 * (lo + hi)
-            seed = (t0, solvers._touch_params(curve, [t0], shape)[0])
-        if seed != "base":
-            bracket = bracket or (lo, hi)
-            seeds.append(seed)
-    return bracket, seeds
+def grid_changes(grid):
+    """The changes of a sweep grid: neighbouring nodes, neither singular, of
+    different windings."""
+    return [(a, b) for a, b in zip(grid[:-1], grid[1:])
+            if not (a.singular or b.singular or a.winding == b.winding)]
+
+
+def sequential_bisection(curve, shape, a, b, width):
+    """The one-midpoint-per-kernel-call bisection that ``_bisect``'s tree
+    replaces, of the grid change from node ``a`` to node ``b``: its bracket
+    at ``width`` or at a singular midpoint, or None at a midpoint without a
+    sphere."""
+    lo, hi = a.t, b.t
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        try:
+            sample = sphere_winding(curve, mid, shape)
+        except DegenerateConfigurationError:
+            return None  # no sphere there: no bracket, no seed
+        if sample.singular:
+            break
+        lo, hi = (mid, hi) if sample.winding == a.winding else (lo, mid)
+    return lo, hi
+
+
+def assert_tree_is_sequential(curve, shape, grid, width, depths=range(1, 7)):
+    """``_bisect`` at each of ``depths`` gives every grid change the bracket
+    of the sequential bisection; returns those brackets."""
+    kernel = partial(solvers._node_windings, curve, shape=shape)
+    changes = grid_changes(grid)
+    want = [sequential_bisection(curve, shape, a, b, width) for a, b in changes]
+    for depth in depths:
+        got = [solvers._bisect(kernel, a.t, b.t, a.winding, width, depth) for a, b in changes]
+        assert got == want, depth
+    return want
 
 
 @pytest.mark.parametrize("width", [FULL_BISECT_WIDTH, 1e-6])
 @pytest.mark.parametrize("name,kwargs,base,angles", KERNEL_CASES)
-def test_bisection_tree_is_the_sequential_bisection(monkeypatch, name, kwargs, base, angles, width):
-    """At every tree depth from 1 to 6, the sweep's bracket and seeds are
-    those of one midpoint per kernel call.  At ``FULL_BISECT_WIDTH`` every
-    bisection here stops at a singular midpoint; at the default 1e-6 every
-    one stops on the width."""
-    monkeypatch.setattr(solvers, "HANDOFF_WIDTH", width)
+def test_bisection_tree_is_the_sequential_bisection(name, kwargs, base, angles, width):
+    """At every tree depth from 1 to 6, ``_bisect`` gives each change of the
+    sweep grid the bracket of one midpoint per kernel call.  At
+    ``FULL_BISECT_WIDTH`` every bisection here stops at a singular midpoint;
+    at the default 1e-6 every one stops on the width."""
     curve = make_curve(name, **{"samples": 1024, **kwargs}).with_base_param(base)
     shape = shape_from_degrees(*angles)
     try:
         grid = sweep_similar(curve, shape).grid
     except NoBracketError:
         return
-    want = sequential_bisection(curve, shape, grid)
-    for depth in range(1, 7):
-        monkeypatch.setattr(solvers, "BISECT_DEPTH", depth)
-        result = sweep_similar(curve, shape)
-        assert (result.bracket, result.seeds) == want, depth
+    brackets = assert_tree_is_sequential(curve, shape, grid, width)
+    assert all((hi - lo <= width) == (width == 1e-6) for lo, hi in brackets)
 
 
 def similar_outcome(curve, shape, base):
@@ -294,9 +298,10 @@ def test_handoff_finds_the_triangles_of_the_full_bisection(monkeypatch, name, kw
 
 
 def test_each_seed_is_refined_once(monkeypatch):
-    """Newton runs once from each of the sweep's seeds, in order, and from
-    nothing else, also where its triangle lies outside the seed's bracket
-    (four of the trefoil's brackets at 60-60-60, base 0.5)."""
+    """Newton runs once from each of the sweep's seeds, and besides only
+    from the midpoint of each grid change whose triangle was refused and
+    which was bisected instead: two of the trefoil's changes at 60-60-60,
+    base 0.5."""
     calls = []
     refine = solvers.refine_similar
 
@@ -305,8 +310,98 @@ def test_each_seed_is_refined_once(monkeypatch):
         return refine(curve, shape, t0, s0, residual_tol)
 
     monkeypatch.setattr(solvers, "refine_similar", counted)
-    outcome = solve_similar(make_curve("trefoil", samples=4096), EQ, base_param=0.5)
-    assert calls == list(outcome.sweep.seeds)
+    curve = make_curve("trefoil", samples=4096)
+    sweep = solve_similar(curve, EQ, base_param=0.5).sweep
+    mids = [0.5 * (a.t + b.t) for a, b in grid_changes(sweep.grid)]
+    touch = solvers._touch_params(curve.with_base_param(0.5), mids, EQ)
+    refused = [seed for seed in zip(mids, touch) if seed not in sweep.seeds]
+    assert len(refused) == 2
+    assert Counter(calls) == Counter(sweep.seeds) + Counter(refused)
+    assert len(sweep.refined) == len(sweep.seeds)
+
+
+# Cases of the cli-small catalogue (4096 vertices) and the number of grid
+# changes where Newton's triangle from the midpoint is refused, so that the
+# change is bisected.
+FALLBACK_CASES = [
+    ("trefoil", {}, 0.25, (60, 60, 60), 1),  # the touch parameter at t_p is 0.28 from t_q
+    ("trefoil", {}, 0.5, (60, 60, 60), 2),  # both bracket ends have one winding
+    ("trefoil", {}, 0.875, (60, 60, 60), 2),  # a singular bracket end; t_p outside the change
+    ("trefoil", {}, 0.5, (90, 45, 45), 1),  # t_p outside the change
+    ("trefoil", {}, 0.5, (110, 35, 35), 2),  # t_p outside the change, twice
+    ("u_turn", {}, 0.25, (30, 60, 90), 1),  # the touch parameter at t_p is 0.099 from t_q
+    ("u_turn", {}, 0.875, (30, 60, 90), 1),
+    # Accepted: t_p lies 2.4e-8 below the change's far end, the farthest
+    # parameter, and the bracket around it reaches past that end.
+    ("corner_wedge", {}, 0.0, (60, 60, 60), 0),
+]
+ORACLE_CASES = [case + (None,) for case in KERNEL_CASES] + [
+    ("trefoil", {}, 0.5, (60, 60, 60), None),  # four triangles' t_p lie outside their 1e-6 brackets
+] + FALLBACK_CASES
+
+
+@pytest.mark.parametrize("name,kwargs,base,angles,_", ORACLE_CASES)
+def test_newton_from_the_grid_finds_the_triangles_of_bisection(name, kwargs, base, angles, _):
+    """Newton from the grid finds the triangles, within 1e-12, and the
+    warnings of bisecting every grid change first (``tests/reference.py``),
+    or no bracket where that finds none."""
+    curve = make_curve(name, **{"samples": 4096, **kwargs})
+    shape = shape_from_degrees(*angles)
+    try:
+        want, want_warnings, _, _ = bisect_then_newton(curve, shape, base)
+    except NoBracketError:
+        with pytest.raises(NoBracketError):
+            solve_similar(curve, shape, base_param=base)
+        return
+    outcome = solve_similar(curve, shape, base_param=base)
+    assert outcome.warnings == want_warnings
+    assert len(outcome.triangles) == len(want)
+    for got, tri in zip(outcome.triangles, want):
+        assert abs(got.t_p - tri.t_p) <= 1e-12 and abs(got.t_q - tri.t_q) <= 1e-12
+
+
+@pytest.mark.parametrize("name,kwargs,base,angles,bisected", FALLBACK_CASES)
+def test_refused_grid_changes_are_bisected(monkeypatch, name, kwargs, base, angles, bisected):
+    """Where Newton's triangle from a change's midpoint leaves its change,
+    has no bracket of different windings around t_p or a touch parameter
+    far from t_q, the change is bisected, and only there."""
+    calls = []
+    bisect = solvers._bisect
+
+    def counted(*args):
+        calls.append(args)
+        return bisect(*args)
+
+    monkeypatch.setattr(solvers, "_bisect", counted)
+    solve_similar(make_curve(name, samples=4096, **kwargs), shape_from_degrees(*angles),
+                  base_param=base)
+    assert len(calls) == bisected
+
+
+@pytest.mark.parametrize("name,kwargs,base,angles,_", ORACLE_CASES)
+def test_accepted_triangles_lie_in_their_brackets(name, kwargs, base, angles, _):
+    """Every accepted change's bracket is at most ``HANDOFF_WIDTH`` wide,
+    holds Newton's t_p and has live, non-singular ends of different
+    windings; its seed and triangle are the sweep's, and the sweep reports
+    the first change's bracket."""
+    curve = make_curve(name, **{"samples": 4096, **kwargs})
+    shape = shape_from_degrees(*angles)
+    try:
+        sweep = solve_similar(curve, shape, base_param=base).sweep
+    except NoBracketError:
+        return
+    work = curve.with_base_param(base)
+    accepted = solvers._newton_from_grid(work, shape, grid_changes(sweep.grid), 1e-9)
+    for done in filter(None, accepted):
+        (lo, hi), seed, tri = done
+        assert lo <= tri.t_p <= hi
+        assert hi - lo <= solvers.HANDOFF_WIDTH
+        winding, singular, live = solvers._node_windings(work, np.array([lo, hi]), shape)
+        assert live.all() and not singular.any() and winding[0] != winding[1]
+        refined = sweep.refined[sweep.seeds.index(seed)]
+        assert (refined.t_p, refined.t_q) == (tri.t_p, tri.t_q)
+    if accepted and accepted[0]:
+        assert sweep.bracket == accepted[0][0]
 
 
 SCALED_KERNEL_CASES = [
@@ -491,6 +586,30 @@ def test_block_tree_yields_the_dense_candidates(monkeypatch, name, kwargs, sampl
     node, seg = dense_candidate_pairs(curve, center, radius, normal, thr)
     assert np.concatenate([node for node, _ in batches]).tolist() == node.tolist()
     assert np.concatenate([seg for _, seg in batches]).tolist() == seg.tolist()
+
+
+@pytest.mark.parametrize("rebase", [0.0, 0.3])
+@pytest.mark.parametrize("samples", [4096, 4097, 4159])  # m mod 64 = 0, 1, 63
+@pytest.mark.parametrize("name,kwargs", BLOCK_INDEX_CURVES)
+def test_block_rows_yield_the_dense_candidates(name, kwargs, samples, rebase):
+    """The vertex test reads each surviving block's vertices as a row of
+    ``Curve.block_vertices`` and yields the pairs of the dense scan, which
+    gathers them by index: with m a multiple of the block size, one above
+    it and one below, and on the curve rebased inside a segment (one vertex
+    more), with random spheres and spheres through the closing segment."""
+    curve = make_curve(name, samples=samples, **kwargs).with_base_param(rebase)
+    assert curve.n_vertices == samples + (rebase > 0.0)
+    rng = np.random.default_rng(samples + curve.dimension)
+    center, radius, normal = random_spheres(curve, rng, 24)
+    last, first = curve.points[-1], curve.points[0]
+    for k, w in enumerate((0.0, 0.5, 1.0)):
+        center[k] = last + w * (first - last)
+    thr = 2.0 * np.maximum(SINGULAR_TOL, solvers._vertex_tolerance_bound(curve, center, radius))
+    batches = list(solvers._candidate_pairs(curve, center, radius, normal, thr))
+    node, seg = dense_candidate_pairs(curve, center, radius, normal, thr)
+    assert np.concatenate([node for node, _ in batches]).tolist() == node.tolist()
+    assert np.concatenate([seg for _, seg in batches]).tolist() == seg.tolist()
+    assert (0, curve.n_vertices - 1) in set(zip(node.tolist(), seg.tolist()))
 
 
 @pytest.mark.parametrize("samples", [1000, 4097])
@@ -772,9 +891,11 @@ class TestDropped:
 
     def test_bisection_midpoint_on_a_revisit_of_the_base(self):
         """The invariant changes across the revisit (the swept point passes
-        through the base, no sphere crosses the curve), and the bisection's
-        first midpoint is the revisiting vertex.  That pair yields neither a
-        bracket nor a seed; the change further on is still bracketed."""
+        through the base, no sphere crosses the curve), and the change's
+        midpoint, where Newton would start and the bisection's first
+        midpoint, is the revisiting vertex.  That pair yields neither a
+        bracket nor a seed; the change further on is still bracketed, around
+        the triangle Newton finds from its midpoint."""
         result = sweep_similar(FIGURE_EIGHT, EQ, grid_size=5)
         ts = np.linspace(result.t_near, result.t_far, 5)
         below, above, last = result.grid
@@ -783,18 +904,19 @@ class TestDropped:
         assert 0.5 * (below.t + above.t) == REVISIT
         lo, hi = result.bracket
         assert above.t < lo < hi < last.t
-        assert [t for t, _ in result.seeds] == [0.5 * (lo + hi)]
+        assert [t for t, _ in result.seeds] == [0.5 * (above.t + last.t)]
+        (triangle,) = result.refined
+        assert lo <= triangle.t_p <= hi
 
 
 @pytest.mark.parametrize("depth", range(1, 7))
-def test_bisection_tree_stops_at_a_revisit_of_the_base(monkeypatch, depth):
-    """The first midpoint of one pair is the vertex where the figure eight
-    returns to the base: the tree gives that pair neither bracket nor seed,
-    as the one-node loop does, and bisects the next pair as it does."""
-    monkeypatch.setattr(solvers, "BISECT_DEPTH", depth)
-    result = sweep_similar(FIGURE_EIGHT, EQ, grid_size=5)
-    assert (result.bracket, result.seeds) == sequential_bisection(FIGURE_EIGHT, EQ, result.grid)
-    assert len(result.seeds) == 1
+def test_bisection_tree_stops_at_a_revisit_of_the_base(depth):
+    """The first midpoint of one grid change is the vertex where the figure
+    eight returns to the base: ``_bisect`` gives that change no bracket, as
+    the one-node loop does, and bisects the next change as it does."""
+    grid = sweep_similar(FIGURE_EIGHT, EQ, grid_size=5).grid
+    brackets = assert_tree_is_sequential(FIGURE_EIGHT, EQ, grid, solvers.HANDOFF_WIDTH, [depth])
+    assert brackets[0] is None and brackets[1] is not None
 
 
 class TestSweep:

@@ -26,6 +26,7 @@ from .errors import InvalidArgumentError, NoBracketError, RefineFailedError, Tri
 from .shape import shape_from_degrees
 from .solvers import (
     EPSILON_LADDER,
+    MAX_GRID_SIZE,
     AngleConditionReport,
     InscribedTriangle,
     check_strong_monotone,
@@ -71,10 +72,7 @@ def _checked(kind, accept, requirement):
     return parse
 
 
-def _at_least(minimum):
-    return _checked(int, lambda v: v >= minimum, f"at least {minimum}")
-
-
+_grid = _checked(int, lambda v: 2 <= v <= MAX_GRID_SIZE, f"in [2, {MAX_GRID_SIZE}]")
 _finite = _checked(float, math.isfinite, "finite")
 _positive = _checked(float, lambda v: 0.0 < v < math.inf, "positive and finite")
 _window = _checked(float, lambda v: 0.0 < v < 0.5, "in (0, 0.5)")
@@ -312,7 +310,7 @@ def build_parser():
 
     p = sub.add_parser("solve-similar", help="inscribe a triangle similar to --angles")
     common(p, angles=True)
-    p.add_argument("--grid", type=_at_least(2), help="sweep grid size (default 256)")
+    p.add_argument("--grid", type=_grid, help="sweep grid size (default 256)")
     p.add_argument("--tol", type=_positive, help="residual tolerance (default 1e-9)")
     p.add_argument("--plot-svg", help="write an SVG of the curve and found triangles")
     p.add_argument("--plot-ratio-path", type=_ratio_spec,
@@ -338,7 +336,7 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="run the invariant sweep; report its bracket and seeds")
     common(p, angles=True)
-    p.add_argument("--grid", type=_at_least(2), help="sweep grid size (default 256)")
+    p.add_argument("--grid", type=_grid, help="sweep grid size (default 256)")
     p.set_defaults(fn=_sweep)
 
     p = sub.add_parser("plot", help="emit SVG plots without solving")

@@ -30,7 +30,7 @@ from functools import partial
 
 import numpy as np
 
-from .curve import BLOCK_SIZE, TREE_FANOUT, row_norms
+from .curve import BLOCK_SIZE, TREE_FANOUT, _whole, row_norms
 from .errors import (
     DegenerateConfigurationError,
     InfeasibleShapeError,
@@ -53,7 +53,10 @@ PROBE_SAMPLES = 2048  # points of the ratio path probed for the third vertex's s
 SINGULAR_TOL = 1e-9  # projected distance to (1, 0) at which the curve touches the sphere
 DEDUPE_TOL = 1e-4  # parameter distance under which two found triangles are one
 HANDOFF_WIDTH = 1e-6  # width of a certified bracket: where bisection stops, and Newton's check (see README)
-BISECT_DEPTH = 3  # levels of bisection midpoints per kernel call (measured; see README)
+# 256 times the default grid size.  A sweep of this many nodes on a
+# 4096-vertex circle takes 0.4 s and ~50 MB (2-vCPU VM); a larger size is
+# refused before any array of it is allocated.
+MAX_GRID_SIZE = 2 ** 16
 MAX_NEWTON_ITERS = 100
 _JACOBIAN_STEP = 1e-7  # relative step of the central-difference Jacobian
 _STEP_FRACTIONS = tuple(0.5 ** k for k in range(11))  # damped Newton step lengths, 1 to 1/1024
@@ -721,46 +724,23 @@ class SweepResult:
     refined: list
 
 
-def _bisect(kernel, lo, hi, w_lo, width, depth):
+def _bisect(kernel, lo, hi, w_lo, width):
     """Bisect the invariant's change between ``lo`` (value ``w_lo``) and
-    ``hi`` until the bracket is at most ``width`` wide or its midpoint is
-    singular; the bracket ``(lo, hi)``, or None at a midpoint that is not
-    live.  A bracket wider than ``width`` stopped at a singular midpoint.
-    ``kernel(ts)`` gives the invariant, a singular flag and a live flag at
-    each parameter of ``ts``, as ``_node_windings`` does.
-
-    The midpoints of the next ``depth`` levels depend only on the current
-    bracket, so one kernel call takes all of them (in heap order: node i has
-    children 2 i + 1 below its midpoint and 2 i + 2 above), and a walk
-    follows the path one midpoint at a time would take, stopping where it
-    would stop.  A node gets the same answer in a batch of any size, so
-    brackets and seeds are those of the one-node loop.
+    ``hi``, one midpoint per kernel call, until the bracket is at most
+    ``width`` wide; the bracket ``(lo, hi)``.  A singular midpoint stops
+    the walk with the bracket around it, wider than ``width``, and a
+    midpoint that is not live stops it with None.  ``kernel(ts)`` gives the
+    invariant, a singular flag and a live flag at each parameter of ``ts``,
+    as ``_node_windings`` does.
     """
-    size = 2 ** depth - 1
     while hi - lo > width:
-        ends = [(lo, hi)]
-        for i in range(size // 2):
-            a, b = ends[i]
-            mid = 0.5 * (a + b)
-            ends += [(a, mid), (mid, b)]
-        mids = np.array([0.5 * (a + b) for a, b in ends])
-        # A node at most width wide is never walked to.
-        wide = np.flatnonzero([b - a > width for a, b in ends])
-        winding = np.zeros(size, dtype=int)
-        singular = np.zeros(size, dtype=bool)
-        live = np.zeros(size, dtype=bool)
-        winding[wide], singular[wide], live[wide] = kernel(mids[wide])
-        i = 0
-        while i < size and hi - lo > width:
-            mid = float(mids[i])
-            if not live[i]:
-                return None
-            if singular[i]:
-                return lo, hi
-            if winding[i] == w_lo:
-                lo, i = mid, 2 * i + 2
-            else:
-                hi, i = mid, 2 * i + 1
+        mid = 0.5 * (lo + hi)
+        (winding,), (singular,), (live,) = kernel(np.array([mid]))
+        if not live:
+            return None
+        if singular:
+            break
+        lo, hi = (mid, hi) if winding == w_lo else (lo, mid)
     return lo, hi
 
 
@@ -828,11 +808,11 @@ def sweep_similar(curve, shape, grid_size=256, epsilon=FALLBACK_EPSILON, residua
     ``residual_tol``.  Where its triangle is not certified, the change is
     bisected to a certified bracket ``HANDOFF_WIDTH`` wide, or to a
     singular midpoint, and the bracket's midpoint and its touch parameter
-    are a seed for Newton, as is each singular grid node.
+    are a seed for Newton, as is each singular grid node.  A grid size that
+    is not a whole number in [2, ``MAX_GRID_SIZE``] is refused first.
     """
     _check_residual_tol(residual_tol)
-    if grid_size < 2:
-        raise InvalidArgumentError("grid size must be at least 2")
+    grid_size = _check_grid_size(grid_size)
     eps = float(epsilon)
     # near_base_param refuses a bad epsilon before any curve query runs.
     t_near = near_base_param(curve, shape, eps)
@@ -859,7 +839,7 @@ def sweep_similar(curve, shape, grid_size=256, epsilon=FALLBACK_EPSILON, residua
     kernel = partial(_node_windings, curve, shape=shape)
     # A bisection that meets a midpoint whose swept point is back at the base
     # has no sphere there, so it cannot go on and certifies nothing (None).
-    found = [done[0] if done else _bisect(kernel, a.t, b.t, a.winding, HANDOFF_WIDTH, BISECT_DEPTH)
+    found = [done[0] if done else _bisect(kernel, a.t, b.t, a.winding, HANDOFF_WIDTH)
              for done, (a, b) in zip(accepted, changes)]
     # A bisection's seed is its bracket's midpoint, where the singular
     # midpoint is when one stopped it.
@@ -900,6 +880,15 @@ def _finite_difference_jacobian(fn, v):
         vm[j] -= h
         jac[:, j] = (fn(vp) - fn(vm)) / (2.0 * h)
     return jac
+
+
+def _check_grid_size(grid_size):
+    """``grid_size`` as an int, refusing one that is not a whole number in
+    [2, ``MAX_GRID_SIZE``] before anything of that size is allocated."""
+    grid_size = _whole("grid size", grid_size)
+    if not 2 <= grid_size <= MAX_GRID_SIZE:
+        raise InvalidArgumentError(f"grid size must lie in [2, {MAX_GRID_SIZE}], got {grid_size}")
+    return grid_size
 
 
 def _check_residual_tol(residual_tol):
@@ -1045,6 +1034,7 @@ def solve_similar(curve, shape, base_param=0.0, grid_size=256, residual_tol=1e-9
     warns.  Raises NoBracketError when the sweep sees no invariant change.
     """
     _check_residual_tol(residual_tol)
+    _check_grid_size(grid_size)
     work = curve.with_base_param(base_param)
     epsilon, hypothesis, warnings = similar_window(work, shape)
     sweep = sweep_similar(work, shape, grid_size, epsilon=epsilon, residual_tol=residual_tol)
@@ -1178,9 +1168,8 @@ def _loop_winding(curve, far, s):
 def _anchor_windings(curve, far, w_hi, ts):
     """The loop invariant as a kernel of ``_bisect``: at each anchor of
     ``ts``, whether ``_loop_winding`` differs from ``w_hi`` and whether it
-    raised SingularPathError; every anchor is live.  A loop winding costs in
-    proportion to its ratio path's samples, so the solver asks for one
-    anchor a call."""
+    raised SingularPathError; every anchor is live.  ``_bisect`` asks for
+    one anchor a call."""
     differs, singular = np.zeros((2, ts.size), dtype=bool)
     for i, s in enumerate(ts.tolist()):
         try:
@@ -1206,10 +1195,11 @@ def solve_equilateral(curve, base_param=0.0, residual_tol=1e-9):
 
     Scans the window ladder for a strongly monotone window (warns and
     continues if none passes), verifies the reference loop winds once around
-    the origin, bisects the anchor with the sweep's walk, one loop winding a
-    call, to bracket a ratio path through the origin, and polishes the
-    bracket's midpoint with the shared Newton refiner.  The walk stops at
-    ``HANDOFF_WIDTH`` or a singular anchor, and Newton runs once.
+    the origin, bisects the anchor with the sweep's walk (``_bisect``, one
+    loop winding a midpoint) to bracket a ratio path through the origin, and
+    polishes the bracket's midpoint with the shared Newton refiner.  The
+    walk stops at ``HANDOFF_WIDTH`` or a singular anchor, and Newton runs
+    once.
     """
     _check_residual_tol(residual_tol)
     work = curve.with_base_param(base_param)
@@ -1247,7 +1237,7 @@ def solve_equilateral(curve, base_param=0.0, residual_tol=1e-9):
 
     shape = equilateral_shape()
     # The far anchor's end of the bracket differs from the near anchor's winding.
-    lo, hi = _bisect(kernel, s_far, s_near, True, HANDOFF_WIDTH, 1)
+    lo, hi = _bisect(kernel, s_far, s_near, True, HANDOFF_WIDTH)
     triangle = refine_similar(work, shape, *seed(0.5 * (lo + hi)), residual_tol)
     return EquilateralOutcome(
         triangle=triangle,

@@ -401,8 +401,7 @@ def bisect_then_newton(curve, shape, base_param=0.0, grid_size=256, residual_tol
     for a, b in zip(grid[:-1], grid[1:]):
         if a.singular or b.singular or a.winding == b.winding:
             continue
-        found = solvers._bisect(kernel, a.t, b.t, a.winding, solvers.HANDOFF_WIDTH,
-                                solvers.BISECT_DEPTH)
+        found = solvers._bisect(kernel, a.t, b.t, a.winding, solvers.HANDOFF_WIDTH)
         if found is None:
             continue
         bracket = bracket or found

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from triscribe import Curve, equilateral_shape, load_curve, residuals
@@ -13,6 +14,7 @@ from triscribe.cli import (
     run,
 )
 from triscribe.curve import MAX_SAMPLES, SIZE_CAPS
+from triscribe.solvers import MAX_GRID_SIZE
 
 from conftest import unbuilt_generator
 
@@ -228,6 +230,20 @@ class TestErrorPaths:
         code = run([command, "--curve", "gen:circle", "--angles", "60,60,60", "--grid", grid])
         assert code == EXIT_USAGE
         assert "--grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve-similar", "sweep"])
+    @pytest.mark.parametrize("grid", [str(MAX_GRID_SIZE + 1), "100000000000000000000"])
+    def test_grid_above_the_cap(self, capsys, monkeypatch, command, grid):
+        """A grid over ``MAX_GRID_SIZE`` is refused with one usage line
+        before anything is laid out; the cap itself parses."""
+        monkeypatch.setattr(np, "linspace", lambda *args, **kwargs: pytest.fail("linspace ran"))
+        argv = [command, "--curve", "gen:circle,samples=256", "--angles", "60,60,60", "--grid"]
+        assert run(argv + [grid]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        want = f"usage error: argument --grid: must be in [2, {MAX_GRID_SIZE}], got {grid}\n"
+        assert captured.err == want
+        assert build_parser().parse_args(argv + [str(MAX_GRID_SIZE)]).grid == MAX_GRID_SIZE
 
     @pytest.mark.parametrize("command", ["solve-similar", "solve-equilateral", "sweep"])
     @pytest.mark.parametrize("tol", ["0", "-1", "nan"])

@@ -391,9 +391,9 @@ def one_anchor_bisection(work, far, w_hi, lo, hi, width):
     ("u_turn", {}, 0.0),
 ])
 def test_anchor_walk_is_the_one_anchor_bisection(monkeypatch, gen, kwargs, base, width):
-    """``_bisect`` on the loop-winding kernel gives, at every depth from 1
-    (the solver's) to 6, the bracket of one loop winding a step, from the
-    solve's far and near anchors and its reference loop winding."""
+    """``_bisect`` on the loop-winding kernel gives the bracket of one loop
+    winding a step, from the solve's far and near anchors and its reference
+    loop winding."""
     calls = []
     loop_winding = solvers._loop_winding
 
@@ -415,8 +415,7 @@ def test_anchor_walk_is_the_one_anchor_bisection(monkeypatch, gen, kwargs, base,
         w_hi = 1
     want = one_anchor_bisection(work, far, w_hi, s_far, s_near, width)
     kernel = partial(solvers._anchor_windings, work, far, w_hi)
-    for depth in range(1, 7):
-        assert solvers._bisect(kernel, s_far, s_near, True, width, depth) == want, depth
+    assert solvers._bisect(kernel, s_far, s_near, True, width) == want
 
 
 def test_anchor_kernel_flags_a_singular_loop(monkeypatch):
@@ -443,34 +442,21 @@ def step_kernel(flagged, singular):
     return kernel
 
 
-def one_midpoint_walk(kernel, lo, hi, w_lo, width):
-    """``_bisect`` written plainly, one kernel call a midpoint."""
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        winding, singular, live = kernel(np.array([mid]))
-        if not live[0]:
-            return None
-        if singular[0]:
-            break
-        lo, hi = (mid, hi) if winding[0] == w_lo else (lo, mid)
-    return lo, hi
-
-
 @pytest.mark.parametrize("singular", [True, False], ids=["singular", "not-live"])
 @pytest.mark.parametrize("visit", [0, 4, 19])
-@pytest.mark.parametrize("depth", range(1, 7))
-def test_walk_stops_where_the_one_midpoint_walk_stops(depth, visit, singular):
-    """A singular or dead anchor at the ``visit``-th midpoint of the
-    one-midpoint walk stops the walk there at every depth, with that
-    walk's bracket or None."""
+def test_walk_stops_at_a_singular_or_dead_midpoint(visit, singular):
+    """A singular or dead anchor at the ``visit``-th midpoint of the walk
+    stops it there: with the bracket around that midpoint, wider than the
+    width, or with None."""
     lo, hi, path = 0.0, 1.0, []
     while hi - lo > 1e-6:
-        path.append(0.5 * (lo + hi))
-        lo, hi = (path[-1], hi) if path[-1] < 0.3 else (lo, path[-1])
-    kernel = step_kernel([path[visit]], singular)
-    want = one_midpoint_walk(kernel, 0.0, 1.0, 1, 1e-6)
-    assert (want is None) is not singular and (want is None or want[1] - want[0] > 1e-6)
-    assert solvers._bisect(kernel, 0.0, 1.0, 1, 1e-6, depth) == want
+        path.append((lo, hi))
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if mid < 0.3 else (lo, mid)
+    lo, hi = path[visit]
+    kernel = step_kernel([0.5 * (lo + hi)], singular)
+    want = (lo, hi) if singular else None
+    assert solvers._bisect(kernel, 0.0, 1.0, 1, 1e-6) == want
 
 
 MONOTONE_FAILED = "monotone scan at eps={} failed: " + REVISIT_MESSAGE

@@ -220,9 +220,9 @@ def grid_changes(grid):
 
 
 def sequential_bisection(curve, shape, a, b, width):
-    """The one-midpoint-per-kernel-call bisection that ``_bisect``'s tree
-    replaces, of the grid change from node ``a`` to node ``b``: its bracket
-    at ``width`` or at a singular midpoint, or None at a midpoint without a
+    """The bisection of the grid change from node ``a`` to node ``b``, one
+    midpoint at a time through the one-node reference kernel: its bracket at
+    ``width`` or at a singular midpoint, or None at a midpoint without a
     sphere."""
     lo, hi = a.t, b.t
     while hi - lo > width:
@@ -237,32 +237,30 @@ def sequential_bisection(curve, shape, a, b, width):
     return lo, hi
 
 
-def assert_tree_is_sequential(curve, shape, grid, width, depths=range(1, 7)):
-    """``_bisect`` at each of ``depths`` gives every grid change the bracket
-    of the sequential bisection; returns those brackets."""
+def assert_bisection_is_sequential(curve, shape, grid, width):
+    """``_bisect`` gives every grid change the bracket of the sequential
+    bisection; returns those brackets."""
     kernel = partial(solvers._node_windings, curve, shape=shape)
     changes = grid_changes(grid)
     want = [sequential_bisection(curve, shape, a, b, width) for a, b in changes]
-    for depth in depths:
-        got = [solvers._bisect(kernel, a.t, b.t, a.winding, width, depth) for a, b in changes]
-        assert got == want, depth
+    assert [solvers._bisect(kernel, a.t, b.t, a.winding, width) for a, b in changes] == want
     return want
 
 
 @pytest.mark.parametrize("width", [FULL_BISECT_WIDTH, 1e-6])
 @pytest.mark.parametrize("name,kwargs,base,angles", KERNEL_CASES)
-def test_bisection_tree_is_the_sequential_bisection(name, kwargs, base, angles, width):
-    """At every tree depth from 1 to 6, ``_bisect`` gives each change of the
-    sweep grid the bracket of one midpoint per kernel call.  At
-    ``FULL_BISECT_WIDTH`` every bisection here stops at a singular midpoint;
-    at the default 1e-6 every one stops on the width."""
+def test_bisection_is_the_sequential_bisection(name, kwargs, base, angles, width):
+    """``_bisect`` gives each change of the sweep grid the bracket of the
+    reference kernel's bisection.  At ``FULL_BISECT_WIDTH`` every bisection
+    here stops at a singular midpoint; at the default 1e-6 every one stops
+    on the width."""
     curve = make_curve(name, **{"samples": 1024, **kwargs}).with_base_param(base)
     shape = shape_from_degrees(*angles)
     try:
         grid = sweep_similar(curve, shape).grid
     except NoBracketError:
         return
-    brackets = assert_tree_is_sequential(curve, shape, grid, width)
+    brackets = assert_bisection_is_sequential(curve, shape, grid, width)
     assert all((hi - lo <= width) == (width == 1e-6) for lo, hi in brackets)
 
 
@@ -376,6 +374,44 @@ def test_refused_grid_changes_are_bisected(monkeypatch, name, kwargs, base, angl
     solve_similar(make_curve(name, samples=4096, **kwargs), shape_from_degrees(*angles),
                   base_param=base)
     assert len(calls) == bisected
+
+
+@pytest.mark.parametrize("name,kwargs,base,angles,bisected", FALLBACK_CASES)
+def test_each_bisection_call_takes_one_node(monkeypatch, name, kwargs, base, angles, bisected):
+    """Besides the grid call and the one call that checks Newton's brackets,
+    every kernel call is a bisection's and takes one node.  A bisection
+    makes one call per halving of its change down to ``HANDOFF_WIDTH``, or
+    fewer where a singular or dead midpoint stops it."""
+    sizes, bisections = [], []
+    node_windings, bisect = solvers._node_windings, solvers._bisect
+
+    def counted_nodes(curve, ts, shape):
+        sizes.append(ts.size)
+        return node_windings(curve, ts, shape)
+
+    def counted_bisect(kernel, lo, hi, w_lo, width):
+        first = len(sizes)
+        found = bisect(kernel, lo, hi, w_lo, width)
+        bisections.append((hi - lo, sizes[first:], found))
+        return found
+
+    monkeypatch.setattr(solvers, "_node_windings", counted_nodes)
+    monkeypatch.setattr(solvers, "_bisect", counted_bisect)
+    solve_similar(make_curve(name, samples=4096, **kwargs), shape_from_degrees(*angles),
+                  base_param=base)
+    inside = [size for _, made, _ in bisections for size in made]
+    grid_call, *check = sizes[:len(sizes) - len(inside)]
+    assert grid_call == 256 and len(check) <= 1 and all(size % 2 == 0 for size in check)
+    assert inside == [1] * len(inside)
+    assert len(bisections) == bisected
+    for width, made, found in bisections:
+        halvings = 0
+        while width > solvers.HANDOFF_WIDTH:
+            width, halvings = 0.5 * width, halvings + 1
+        if found is not None and found[1] - found[0] <= solvers.HANDOFF_WIDTH:
+            assert len(made) == halvings
+        else:
+            assert len(made) <= halvings
 
 
 @pytest.mark.parametrize("name,kwargs,base,angles,_", ORACLE_CASES)
@@ -909,13 +945,12 @@ class TestDropped:
         assert lo <= triangle.t_p <= hi
 
 
-@pytest.mark.parametrize("depth", range(1, 7))
-def test_bisection_tree_stops_at_a_revisit_of_the_base(depth):
+def test_bisection_stops_at_a_revisit_of_the_base():
     """The first midpoint of one grid change is the vertex where the figure
     eight returns to the base: ``_bisect`` gives that change no bracket, as
-    the one-node loop does, and bisects the next change as it does."""
+    the sequential bisection does, and bisects the next change as it does."""
     grid = sweep_similar(FIGURE_EIGHT, EQ, grid_size=5).grid
-    brackets = assert_tree_is_sequential(FIGURE_EIGHT, EQ, grid, solvers.HANDOFF_WIDTH, [depth])
+    brackets = assert_bisection_is_sequential(FIGURE_EIGHT, EQ, grid, solvers.HANDOFF_WIDTH)
     assert brackets[0] is None and brackets[1] is not None
 
 
@@ -1154,6 +1189,30 @@ def test_sweep_refuses_an_epsilon_outside_the_window_range(monkeypatch, epsilon)
     for call in (sweep_similar, near_base_param):
         with pytest.raises(InvalidArgumentError, match=r"^epsilon must lie in \(0, 0.5\)$"):
             call(curve, EQ, epsilon=epsilon)
+
+
+@pytest.mark.parametrize("grid_size", [1, 2.5, math.nan, math.inf, solvers.MAX_GRID_SIZE + 1,
+                                       10 ** 20, 1e300])
+def test_sweep_refuses_a_grid_size_before_allocating(monkeypatch, grid_size):
+    """A grid size that is not a whole number in [2, ``MAX_GRID_SIZE``] is
+    refused before the grid is laid out (``np.linspace`` fails if reached)
+    and, by ``solve_similar``, before its window ladder runs."""
+    curve = make_curve("ellipse", samples=256)
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid was laid out")
+
+    monkeypatch.setattr(solvers.np, "linspace", no_grid)
+    monkeypatch.setattr(solvers, "similar_window", no_grid)
+    for call in (sweep_similar, solve_similar):
+        with pytest.raises(InvalidArgumentError, match="^grid size must"):
+            call(curve, EQ, grid_size=grid_size)
+
+
+def test_sweep_takes_a_whole_grid_size_of_any_number_type():
+    curve = make_curve("ellipse", samples=256)
+    for grid_size in (64.0, np.int64(64)):
+        assert len(sweep_similar(curve, EQ, grid_size=grid_size).grid) == 64
 
 
 class TestKeywords:

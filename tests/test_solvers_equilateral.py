@@ -442,17 +442,21 @@ def step_kernel(flagged, singular):
     return kernel
 
 
+WALK_MIDPOINTS = 20  # halvings of [0, 1] down to a width of at most 1e-6
+
+
 @pytest.mark.parametrize("singular", [True, False], ids=["singular", "not-live"])
-@pytest.mark.parametrize("visit", [0, 4, 19])
+@pytest.mark.parametrize("visit", range(WALK_MIDPOINTS))
 def test_walk_stops_at_a_singular_or_dead_midpoint(visit, singular):
-    """A singular or dead anchor at the ``visit``-th midpoint of the walk
-    stops it there: with the bracket around that midpoint, wider than the
-    width, or with None."""
+    """A singular or dead anchor at the ``visit``-th midpoint of the walk,
+    any of its midpoints, stops it there: with the bracket around that
+    midpoint, wider than the width, or with None."""
     lo, hi, path = 0.0, 1.0, []
     while hi - lo > 1e-6:
         path.append((lo, hi))
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if mid < 0.3 else (lo, mid)
+    assert len(path) == WALK_MIDPOINTS
     lo, hi = path[visit]
     kernel = step_kernel([0.5 * (lo + hi)], singular)
     want = (lo, hi) if singular else None
